@@ -7,7 +7,6 @@ different runs of the same program can be merged.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
@@ -87,10 +86,6 @@ class PETNode:
         )
         return self.inclusive_cost
 
-    @property
-    def average_trip(self) -> float:
-        return self.total_trips / self.invocations if self.invocations else 0.0
-
 
 @dataclass(slots=True)
 class CallNode:
@@ -163,14 +158,6 @@ class Profile:
     # ------------------------------------------------------------------
     # convenience queries
     # ------------------------------------------------------------------
-
-    def deps_in_region(self, region: int) -> list[DepKey]:
-        """All dependences owned by *region* (any carrier)."""
-        return [d for d in self.deps if d.region == region]
-
-    def carried_deps(self, loop: int) -> list[DepKey]:
-        """Dependences carried by *loop*."""
-        return [d for d in self.deps if d.carrier == loop]
 
     def carried_raw_vars(self, loop: int) -> set[str]:
         return {d.var for d in self.deps if d.carrier == loop and d.kind == RAW}

@@ -29,44 +29,43 @@ shadow-memory sweep:
 
 Fast path
 ---------
-The profiler receives events in chunks through :meth:`Profiler.consume_batch`
-(see ``repro.runtime.events``): the read/write/cost/stmt/iteration handlers
-are inlined in one loop with all per-event state hoisted into locals.
-Access events carry ``(tag, addr, sid)`` where ``sid`` indexes the program's
-static :class:`~repro.runtime.sites.SiteTable`; the per-event ``Sink``
-methods remain as the reference implementation and simply wrap each call
-into a one-event batch, so interleaving them with batched delivery is safe.
+The engines deliver events in chunks through :meth:`Profiler.consume_batch`
+(see ``repro.runtime.events``), which handles every event tag inline in one
+loop with all per-event state hoisted into locals.  Access events carry
+``(tag, addr, sid)`` where ``sid`` indexes the program's static
+:class:`~repro.runtime.sites.SiteTable`.
 
-In-loop dependence summarization
---------------------------------
+Derivation memos
+----------------
 Deriving a dependence from a shadow entry means scanning two context stacks
 for their divergence point, classifying the carrier, and building an
 aggregation key — per access.  But inside a loop the stream is massively
-repetitive: consecutive accesses at one site hit addresses whose shadow
-entries were written by the *same* site under the *same* pair of activation
-stacks, usually marching with a fixed stride.  The profiler therefore keeps
-one **stride-run descriptor** per (current sid, dependence kind): the pair
-of context-stack snapshots it was derived under (compared by object
-identity — snapshots are immutable and rebuilt on region transitions, and
-the descriptor holds strong references so an id can never be recycled), the
-divergence level, the pre-built aggregation keys for the carried and
-independent variants, the running access counts, and the current
-``(base, stride, count)`` run of addresses.  While a descriptor matches,
-recording a dependence is a handful of integer compares and a counter
-bump; the first access that breaks the run — a different writer site, a
-rebuilt context, a changed site line at the divergence level — falls back
-to the exact per-access derivation, which installs a fresh descriptor.
-Descriptor counts are folded into the aggregated dependence table when a
-descriptor is replaced and at :meth:`finish`, so the result is **exactly**
-the per-access table, event for event; only the work is collapsed.
+repetitive: consecutive accesses at one site hit shadow entries written by
+the *same* site under the *same* pair of activation stacks.  Every exact
+derivation therefore leaves a **derivation memo**, keyed by the dependence
+kind and the (current sid, shadow sid) pair: the divergence level, the site
+lines expected there, the pre-built aggregation keys for the carried and
+independent variants, the running counts, and the multi-loop pair recipe.
+RAW, WAR and WAW share one memo-hit path and one derivation function.  While
+a memo matches, recording a dependence is a carried/independent check and a
+counter bump; anything else — a different writer site, a rebuilt context, a
+changed site line at the divergence level — takes the exact derivation,
+which revalidates or replaces the memo.  Memo counts are folded into the
+aggregated dependence table when a memo is replaced and at :meth:`finish`,
+so the result is **exactly** the per-access table, event for event
+(``tests/test_profiler_reference.py`` checks it against a plain per-access
+fold); only the work is collapsed.  Memos come in two families:
 
-Dependences whose endpoints share the whole activation stack — the
-dominant case: in-loop affine accesses and recursion-local cells — take a
-cheaper descriptor family still (the ``_S_*`` slots): divergence is
-necessarily at the innermost level, so validity reduces to three scalar
-compares and the descriptor never references a stack snapshot, which
-keeps it valid across activation churn where the snapshot-identity
-descriptors of recursive programs miss on every call.
+* **Same-stack memos** cover dependences whose endpoints share the whole
+  activation stack (the shadow entry's activation-id snapshot *is* the
+  current one) — the dominant case: in-loop affine accesses and
+  recursion-local cells.  Divergence is at the innermost level, no pair can
+  arise, and the memo references no snapshot, so it stays valid across the
+  activation churn of recursive programs.
+* **Cross-stack memos** hold the two snapshots they were derived under,
+  compared by object identity: snapshots are immutable and rebuilt on
+  region transitions, and the memo holds strong references so an id can
+  never be recycled.
 
 First-touch bookkeeping gets the same treatment: once a ``(loop, var)`` is
 marked ``read_first`` at every live loop level, further marks are no-ops,
@@ -97,56 +96,34 @@ from repro.runtime.sites import SiteTable
 
 _NO_ITER = -1
 
-# Descriptor dicts are keyed by ``sid * _KEYM + psid`` — one int, hashed by
-# value — so a site whose addresses alternate between two writer sites (a
-# set/reset pair in a backtracking loop, say) keeps one live descriptor per
-# writer instead of thrashing a single per-sid slot.  Site ids are dense
-# small ints (static sites plus a handful of runtime pseudo sites), so the
+# Memo dicts are keyed by ``sid * _KEYM + psid`` — one int, hashed by value —
+# so a site whose addresses alternate between two writer sites (a set/reset
+# pair in a backtracking loop, say) keeps one live memo per writer instead
+# of thrashing a single per-sid slot.  Site ids are dense small ints, so the
 # packing never collides in practice.
 _KEYM = 1 << 20
 
-# Stride-run descriptor slots (plain lists: fastest mutable record in
-# CPython).  See the module docstring for the validity rules.
-_T_PIDS = 0  # shadow entry's activation-id snapshot (identity-checked)
-_T_PSID = 1  # shadow entry's site id (implied by the dict key)
-_T_CIDS = 2  # current activation-id snapshot (identity-checked)
-_T_M = 3  # divergence level minus one; -1 encodes "no common activation"
-_T_LOOP = 4  # True when the common activation is a loop
-_T_PSITE = 5  # expected source site line at level m
-_T_CSITE = 6  # expected sink site line at level m
-_T_KEY0 = 7  # aggregation key, independent variant
-_T_KEY1 = 8  # aggregation key, carried variant (None for non-loops)
-_T_N0 = 9  # accesses counted as independent
-_T_N1 = 10  # accesses counted as carried
-_T_PAIR = 11  # multi-loop pair recipe (w_static, d, r_act, pair_key) or None
-_T_STRIDE = 12  # address stride of the current run (None before 2nd access)
-_T_LAST = 13  # last address seen
-_T_RUNS = 14  # completed stride runs
-_T_MAXRUN = 15  # longest completed run
-_T_CURN = 16  # length of the current run
+# A derivation memo is a plain list (the fastest mutable record in CPython);
+# the hot loop indexes it with literals:
+#   0  aggregation key, independent variant
+#   1  aggregation key, carried variant (None unless the level is a loop)
+#   2  accesses counted as independent
+#   3  accesses counted as carried
+#   4  expected source site line at the level
+#   5  expected sink site line at the level
+#   6  source activation-id snapshot (None in same-stack memos)
+#   7  sink activation-id snapshot (None in same-stack memos)
+#   8  the level: the deepest common activation's index, -1 (innermost)
+#      in same-stack memos
+#   9  multi-loop pair recipe (w_static, d, r_act, pair_key) or None
 
-# Same-activation descriptor slots.  When a shadow entry's activation-id
-# snapshot *is* the current snapshot (checked by object identity), both
-# endpoints share the whole stack: the divergence level is always the
-# innermost one, the pair condition (endpoints in different sibling loops)
-# can never hold, and the aggregation key depends on nothing but the two
-# site ids, the innermost region, and the two innermost site lines.  Such
-# descriptors carry no stack snapshots at all, so they stay valid across
-# activation churn — recursive programs, whose fresh snapshot per call
-# defeats the _T_* descriptors, summarize through these instead.
-_S_PSID = 0  # shadow entry's site id (implied by the dict key)
-_S_PSITE = 1  # expected source site line at the innermost level
-_S_CSITE = 2  # expected sink site line at the innermost level
-_S_KEY0 = 3  # aggregation key, independent variant
-_S_KEY1 = 4  # aggregation key, carried variant (None for non-loops)
-_S_LOOP = 5  # True when the innermost activation is a loop
-_S_N0 = 6  # accesses counted as independent
-_S_N1 = 7  # accesses counted as carried
-_S_STRIDE = 8  # address stride of the current run (None before 2nd access)
-_S_LAST = 9  # last address seen
-_S_RUNS = 10  # completed stride runs
-_S_MAXRUN = 11  # longest completed run
-_S_CURN = 12  # length of the current run
+
+def _flush(deps: dict, memo: list) -> None:
+    """Fold a memo's accumulated counts into the dependence table."""
+    if memo[2]:
+        deps[memo[0]] = deps.get(memo[0], 0) + memo[2]
+    if memo[3]:
+        deps[memo[1]] = deps.get(memo[1], 0) + memo[3]
 
 
 class Profiler(Sink):
@@ -176,27 +153,14 @@ class Profiler(Sink):
         # carrier, src_site, dst_site) keys; materialized into DepKey
         # records once at finish()
         self._deps_raw: dict[tuple, int] = {}
-        # stride-run dependence descriptors, one per (current sid, kind);
-        # the _tpl_* dicts cover cross-activation dependences, the _same_*
-        # dicts cover dependences whose endpoints share the activation
-        # stack (the dominant case: in-loop affine accesses and
-        # recursion-local cells) with a depth-independent validity check
-        self._tpl_raw: dict[int, list] = {}
-        self._tpl_waw: dict[int, list] = {}
-        self._tpl_war: dict[int, list] = {}
-        self._same_raw: dict[int, list] = {}
-        self._same_waw: dict[int, list] = {}
-        self._same_war: dict[int, list] = {}
-        self._tpl_installs = 0
-        self._sum_events = 0
-        self._stride_runs = 0
-        self._longest_run = 0
+        # derivation memos: cross-stack RAW/WAW/WAR, then same-stack
+        # RAW/WAW/WAR (finish() flushes them in this order)
+        self._memos: tuple[dict[int, list], ...] = ({}, {}, {}, {}, {}, {})
         # PET
         self._pet_counter = 0
         self._pet_stack: list[PETNode] = []
         # cost accounting
         self._act_costs: list[int] = []
-        self._pre_cost = 0
         # call tree
         self._record_ct = record_calltree
         self._max_ct = max_calltree_nodes
@@ -217,47 +181,30 @@ class Profiler(Sink):
         # indices of the loop levels within the stacks (skips function
         # levels in the per-event first-touch sweep)
         self._loop_idx: list[int] = []
-        # per-sid first-touch verdicts for the current loop stack:
-        # 1 = walk provably a no-op, skip it; 2 = walk normally.  A sid
-        # missing from the dict doubles as "first touch under this loop
-        # stack": the miss path updates the loop access tables before
-        # deciding, so one lookup serves both jobs.  Cleared on loop
-        # entry/exit.
-        self._ft_state: dict[int, int] = {}
-        self._af = False
-        # a default table so hand-driven sinks work without an engine;
-        # engines replace it via set_site_table before any event flows
+        # per-sid first-touch verdicts for the current loop stack: True =
+        # walk normally, False = walk provably a no-op.  A sid missing from
+        # the dict doubles as "first touch under this loop stack": the miss
+        # path updates the loop access tables before deciding, so one
+        # lookup serves both jobs.  Cleared on loop entry/exit.
+        self._ft_walk: dict[int, bool] = {}
+        # an empty table until an engine announces the program's own
         self.set_site_table(SiteTable())
 
     def set_site_table(self, table: SiteTable) -> None:
-        self._site_table = table
         self._s_lines = table.lines
         self._s_vars = table.vars
         self._s_elems = table.elements
         self._af = table.alias_free
-        n = table.n_static
         self._vars_with_reads = {
-            table.vars[i] for i in range(n) if not table.writes[i]
+            var for var, write in zip(table.vars, table.writes) if not write
         }
-
-    def _sid_for(self, line: int, var: str, write: bool, element: bool) -> int:
-        """Site id for a per-event-API access (allocates a pseudo site)."""
-        table = self._site_table
-        before = len(table.lines)
-        sid = table.pseudo_sid(line, var, write, element)
-        if sid >= before and not write and var not in self._vars_with_reads:
-            # a read of a variable the static table thought was write-only:
-            # first-touch verdicts based on that assumption are stale
-            self._vars_with_reads.add(var)
-            self._ft_state.clear()
-        return sid
 
     # ------------------------------------------------------------------
     # region transitions
     # ------------------------------------------------------------------
 
-    def _enter(self, region: int, act: int, kind: str, site_line: int, line: int) -> None:
-        parent_site = self._sites[-1] if self._sites else site_line
+    def _enter(self, region: int, act: int, kind: str, line: int) -> None:
+        parent_site = self._sites[-1] if self._sites else line
         self._ids.append(act)
         self._statics.append(region)
         self._kinds.append(kind)
@@ -267,7 +214,7 @@ class Profiler(Sink):
         self._seen.append(set() if kind == "loop" else None)
         if kind == "loop":
             self._loop_idx.append(len(self._kinds) - 1)
-            self._ft_state.clear()
+            self._ft_walk.clear()
         self._ids_t = tuple(self._ids)
         self._iters_t = tuple(self._iters)
         self._sites_t = tuple(self._sites)
@@ -331,7 +278,7 @@ class Profiler(Sink):
         self._seen.pop()
         if kind == "loop":
             self._loop_idx.pop()
-            self._ft_state.clear()
+            self._ft_walk.clear()
         self._ids_t = tuple(self._ids)
         self._iters_t = tuple(self._iters)
         self._sites_t = tuple(self._sites)
@@ -357,122 +304,16 @@ class Profiler(Sink):
             key = (self._statics[-1], self._sites[-1])
             self.profile.site_costs[key] = self.profile.site_costs.get(key, 0) + inclusive
 
-    # -- Sink interface -------------------------------------------------
-
-    def enter_function(self, region_id: int, activation_id: int, call_line: int) -> None:
-        self._enter(region_id, activation_id, "function", call_line, call_line)
-
-    def exit_function(self, region_id: int, activation_id: int) -> None:
-        self._exit()
-
-    def enter_loop(self, region_id: int, activation_id: int, line: int) -> None:
-        self._enter(region_id, activation_id, "loop", line, line)
-
-    def exit_loop(self, region_id: int, activation_id: int, trip_count: int) -> None:
-        self._exit(trip_count)
-
-    def loop_iteration(self, region_id: int, index: int) -> None:
-        self._iters[-1] = index
-        self._iters_t = self._iters_t[:-1] + (index,)
-        self._ctx = (self._ids_t, self._iters_t, self._sites_t)
-        self._seen[-1] = set()
-        node = self._ct_stack[-1]
-        if node is not None and index > 0:
-            acc = self._act_costs[-1]
-            node.per_iter_cost.append(acc - self._iter_marks[-1])
-            self._iter_marks[-1] = acc
-
-    def on_stmt(self, line: int) -> None:
-        sites = self._sites
-        if sites and sites[-1] != line:
-            sites[-1] = line
-            self._sites_t = self._sites_t[:-1] + (line,)
-            self._ctx = (self._ids_t, self._iters_t, self._sites_t)
-
-    def on_cost(self, line: int, amount: int) -> None:
-        p = self.profile
-        p.total_cost += amount
-        p.line_costs[line] = p.line_costs.get(line, 0) + amount
-        if not self._act_costs:
-            self._pre_cost += amount
-            return
-        self._act_costs[-1] += amount
-        self._pet_stack[-1].exclusive_cost += amount
-        node = self._ct_stack[-1]
-        if node is not None:
-            node.exclusive_cost += amount
-        key = (self._statics[-1], line)
-        p.site_costs[key] = p.site_costs.get(key, 0) + amount
-
     # ------------------------------------------------------------------
-    # memory accesses (reference path: one-event batches)
-    # ------------------------------------------------------------------
-
-    def on_read(self, addr: int, var: str, line: int, element: bool = False) -> None:
-        sid = self._sid_for(line, var, False, element)
-        self.consume_batch(((EV_READ, addr, sid),))
-
-    def on_write(self, addr: int, var: str, line: int, element: bool = False) -> None:
-        sid = self._sid_for(line, var, True, element)
-        self.consume_batch(((EV_WRITE, addr, sid),))
-
-    # ------------------------------------------------------------------
-    # dependence derivation (exact path; installs stride-run descriptors)
-    # ------------------------------------------------------------------
-
-    def _flush_tpl(self, run: list) -> None:
-        """Fold a descriptor's accumulated counts into the dependence table."""
-        n = run[_T_N0] + run[_T_N1]
-        self._sum_events += n
-        cur = run[_T_CURN]
-        self._stride_runs += run[_T_RUNS] + (1 if cur else 0)
-        peak = run[_T_MAXRUN]
-        if cur > peak:
-            peak = cur
-        if peak > self._longest_run:
-            self._longest_run = peak
-        if run[_T_M] < 0:
-            return
-        deps = self._deps_raw
-        if run[_T_N0]:
-            key = run[_T_KEY0]
-            deps[key] = deps.get(key, 0) + run[_T_N0]
-        if run[_T_N1]:
-            key = run[_T_KEY1]
-            deps[key] = deps.get(key, 0) + run[_T_N1]
-
-    def _flush_same(self, run: list) -> None:
-        """Fold a same-activation descriptor's counts into the table."""
-        n0 = run[_S_N0]
-        n1 = run[_S_N1]
-        self._sum_events += n0 + n1
-        cur = run[_S_CURN]
-        self._stride_runs += run[_S_RUNS] + (1 if cur else 0)
-        peak = run[_S_MAXRUN]
-        if cur > peak:
-            peak = cur
-        if peak > self._longest_run:
-            self._longest_run = peak
-        deps = self._deps_raw
-        if n0:
-            key = run[_S_KEY0]
-            deps[key] = deps.get(key, 0) + n0
-        if n1:
-            key = run[_S_KEY1]
-            deps[key] = deps.get(key, 0) + n1
-
-    # ------------------------------------------------------------------
-    # batched fast path
+    # the event fold
     # ------------------------------------------------------------------
 
     def consume_batch(self, events: Sequence[tuple]) -> None:
-        """Process a chunk of engine events with hoisted state.
+        """Fold a chunk of engine events into the profile, in order.
 
-        Semantically identical to the per-access reference derivation; the
-        read and write paths are fully inlined, with dependence recording
-        going through the stride-run descriptors described in the module
-        docstring and falling back to :meth:`_dep_slow` whenever a
-        descriptor's validity checks fail.
+        Every dependence — RAW, WAR or WAW, same-stack or cross-stack —
+        goes through one memo-hit path and, on a miss, one exact
+        derivation (see "Derivation memos" in the module docstring).
         """
         profile = self.profile
         last_write = self._last_write
@@ -483,7 +324,7 @@ class Profiler(Sink):
         loop_var_reads = profile.loop_var_reads
         loop_var_writes = profile.loop_var_writes
         read_first = profile.read_first
-        ft_state = self._ft_state
+        ft_walk = self._ft_walk
         af = self._af
         vars_with_reads = self._vars_with_reads
         line_costs = profile.line_costs
@@ -501,19 +342,17 @@ class Profiler(Sink):
         s_lines = self._s_lines
         s_vars = self._s_vars
         s_elems = self._s_elems
-        tpl_raw = self._tpl_raw
-        tpl_waw = self._tpl_waw
-        tpl_war = self._tpl_war
-        same_raw = self._same_raw
-        same_waw = self._same_waw
-        same_war = self._same_war
         deps = self._deps_raw
         act_info = self._act_info
-        installs = self._tpl_installs
-        sum_events = self._sum_events
-        stride_runs = self._stride_runs
-        longest_run = self._longest_run
+        x_raw, x_waw, x_war, s_raw, s_waw, s_war = self._memos
+        # the dependence checks an access makes, in order: (shadow map,
+        # kind, same-stack memos, cross-stack memos)
+        read_checks = ((last_write, RAW, s_raw, x_raw),)
+        write_checks = ((last_write, WAW, s_waw, x_waw), (last_read, WAR, s_war, x_war))
         ids_t = self._ids_t
+        # ids_t when a shadow entry made under it shares the whole stack
+        # (the empty stack shares nothing)
+        same_ids = ids_t or None
         iters_t = self._iters_t
         sites_t = self._sites_t
         ctx = self._ctx
@@ -526,440 +365,170 @@ class Profiler(Sink):
         arr_n = profile.array_accesses
         keym = _KEYM
 
-        def _flush(old: list) -> None:
-            # Fold a displaced _T_* descriptor's counts into the table.
-            nonlocal sum_events, stride_runs, longest_run
-            n0 = old[9]
-            n1 = old[10]
-            sum_events += n0 + n1
-            cur = old[16]
-            stride_runs += old[14] + (1 if cur else 0)
-            peak = old[15]
-            if cur > peak:
-                peak = cur
-            if peak > longest_run:
-                longest_run = peak
-            if old[3] >= 0:
-                if n0:
-                    k = old[7]
-                    deps[k] = deps.get(k, 0) + n0
-                if n1:
-                    k = old[8]
-                    deps[k] = deps.get(k, 0) + n1
-
-        def dep_slow(
-            kind: str, prev: tuple, sid: int, addr: int, tpl: dict, dkey: int
-        ) -> None:
-            # Exact derivation for one access; revalidates the existing
-            # descriptor in place when only its stack snapshots aged, else
-            # folds its counts into the dependence table and installs a
-            # fresh descriptor so following accesses take the fast path.
-            # A closure so the recursion-heavy programs — whose context
-            # snapshots change too often for descriptors to ever match —
-            # pay no attribute traffic on their per-access fallbacks.
-            nonlocal installs, sum_events, stride_runs, longest_run
-            p_ctx, psid = prev
+        def derive(
+            kind: str, p_ctx: tuple, psid: int, sid: int, same: dict, cross: dict, key: int
+        ) -> list | None:
+            # Exact derivation for one access, counted into the memo it
+            # revalidates or installs; returns that memo, or None when the
+            # two stacks share no activation (no dependence).  A closure, so
+            # the recursion-heavy programs that miss often pay no attribute
+            # traffic for it.
             p_ids = p_ctx[0]
-            if p_ids is ids_t:
-                d = len(p_ids)
+            pair = None
+            if p_ids is same_ids:
+                memos = same
+                m = -1
+                p_snap = c_snap = None
             else:
+                memos = cross
                 limit = min(len(p_ids), len(ids_t))
                 d = 0
                 while d < limit and p_ids[d] == ids_t[d]:
                     d += 1
-            installs += 1
-            old = tpl.get(dkey)
-            if d == 0:
-                if old is not None:
-                    _flush(old)
-                tpl[dkey] = [
-                    p_ids, psid, ids_t, -1, False, 0, 0, None, None, 0, 0,
-                    None, None, addr, 0, 0, 1,
-                ]
-                return
-            m = d - 1
+                if d == 0:
+                    return None
+                m = d - 1
+                p_snap = p_ids
+                c_snap = ids_t
+                if kind == RAW and d < len(p_ids) and d < len(ids_t):
+                    w_static, w_kind = act_info[p_ids[d]]
+                    r_static, r_kind = act_info[ids_t[d]]
+                    if w_kind == "loop" and r_kind == "loop" and w_static != r_static:
+                        pair = (w_static, d, ids_t[d], (w_static, r_static))
             region, region_kind = act_info[p_ids[m]]
             is_loop = region_kind == "loop"
             psm = p_ctx[2][m]
             csm = sites_t[m]
-            carried = False
-            if is_loop:
-                pim = p_ctx[1][m]
-                cim = iters_t[m]
-                carried = pim != cim and pim != -1 and cim != -1
-            pair = None
-            if kind == RAW and d < len(p_ids) and d < len(ids_t):
-                w_act = p_ids[d]
-                r_act = ids_t[d]
-                w_static, w_kind = act_info[w_act]
-                r_static, r_kind = act_info[r_act]
-                if w_kind == "loop" and r_kind == "loop" and w_static != r_static:
-                    pair = (w_static, d, r_act, (w_static, r_static))
+            # function levels never iterate (their iteration stays -1), so
+            # only a loop level can carry
+            pim = p_ctx[1][m]
+            cim = iters_t[m]
+            carried = pim != cim and pim != -1 and cim != -1
+            old = memos.get(key)
             if (
                 old is not None
-                and old[3] >= 0
-                and old[5] == psm
-                and old[6] == csm
-                and old[7][3] == region
+                and old[4] == psm
+                and old[5] == csm
+                and old[0][3] == region
             ):
                 # Same derived dependence — only the stack snapshots aged
                 # (an inner loop re-entered, a call returned and repeated,
-                # or the recursion depth shifted: the divergence level m is
-                # not part of the aggregation key, so a changed m with the
-                # same region and site lines is still the same dependence).
-                # Revalidate in place: refresh the snapshots, level, and
-                # pair recipe; keep the keys, counts, and stride run.
-                old[0] = p_ids
-                old[2] = ids_t
-                old[3] = m
-                old[11] = pair
-                if carried:
-                    old[10] += 1
-                else:
-                    old[9] += 1
-                last = old[13]
-                if old[12] == addr - last:
-                    old[16] += 1
-                else:
-                    n = old[16]
-                    if n > old[15]:
-                        old[15] = n
-                    old[14] += 1
-                    old[12] = addr - last
-                    old[16] = 1
-                old[13] = addr
+                # or the recursion depth shifted: the divergence level is
+                # not part of the aggregation key).  Refresh the snapshots,
+                # level and pair recipe; keep the keys and counts.
+                memo = old
+                memo[6] = p_snap
+                memo[7] = c_snap
+                memo[8] = m
+                memo[9] = pair
             else:
                 if old is not None:
-                    _flush(old)
-                key0 = (kind, psid, sid, region, None, psm, csm)
-                key1 = (
-                    (kind, psid, sid, region, region, psm, csm)
-                    if is_loop else None
-                )
-                run = [
-                    p_ids, psid, ids_t, m, is_loop, psm, csm, key0, key1,
-                    0, 0, pair, None, addr, 0, 0, 1,
+                    _flush(deps, old)
+                memo = [
+                    (kind, psid, sid, region, None, psm, csm),
+                    (kind, psid, sid, region, region, psm, csm) if is_loop else None,
+                    0, 0, psm, csm, p_snap, c_snap, m, pair,
                 ]
-                if carried:
-                    run[10] = 1
-                else:
-                    run[9] = 1
-                tpl[dkey] = run
-            if pair is not None:
-                ix = p_ctx[1][d]
-                iy = iters_t[d]
-                if ix != -1 and iy != -1:
-                    skey = (r_act, pair[0], addr)
-                    if skey not in pair_seen:
-                        pair_seen.add(skey)
-                        pk = pair[3]
-                        lst = pairs.get(pk)
-                        if lst is None:
-                            pairs[pk] = [(ix, iy)]
-                        else:
-                            lst.append((ix, iy))
-
-        def same_slow(
-            kind: str, prev: tuple, sid: int, addr: int, tpl: dict, dkey: int
-        ) -> None:
-            # Exact derivation for a dependence whose endpoints share the
-            # activation stack (prev's snapshot *is* ids_t): the divergence
-            # level is the innermost one, no multi-loop pair can arise, and
-            # the installed descriptor references no snapshots, so it stays
-            # valid across recursion's activation churn.
-            nonlocal installs, sum_events, stride_runs, longest_run
-            p_ctx, psid = prev
-            old = tpl.get(dkey)
-            if old is not None:
-                n0 = old[6]
-                n1 = old[7]
-                sum_events += n0 + n1
-                cur = old[12]
-                stride_runs += old[10] + (1 if cur else 0)
-                peak = old[11]
-                if cur > peak:
-                    peak = cur
-                if peak > longest_run:
-                    longest_run = peak
-                if n0:
-                    k = old[3]
-                    deps[k] = deps.get(k, 0) + n0
-                if n1:
-                    k = old[4]
-                    deps[k] = deps.get(k, 0) + n1
-            installs += 1
-            region, region_kind = act_info[ids_t[-1]]
-            is_loop = region_kind == "loop"
-            psm = p_ctx[2][-1]
-            csm = sites_t[-1]
-            key0 = (kind, psid, sid, region, None, psm, csm)
-            key1 = (kind, psid, sid, region, region, psm, csm) if is_loop else None
-            run = [psid, psm, csm, key0, key1, is_loop, 0, 0, None, addr, 0, 0, 1]
-            if is_loop:
-                pim = p_ctx[1][-1]
-                cim = iters_t[-1]
-                if pim != cim and pim != -1 and cim != -1:
-                    run[7] = 1
-                else:
-                    run[6] = 1
+                memos[key] = memo
+            if carried:
+                memo[3] += 1
             else:
-                run[6] = 1
-            tpl[dkey] = run
+                memo[2] += 1
+            return memo
 
         for ev in events:
             tag = ev[0]
-            if tag == EV_READ:
+            if tag <= EV_WRITE:  # EV_READ or EV_WRITE
                 addr = ev[1]
                 sid = ev[2]
+                is_read = tag == EV_READ
                 if s_elems[sid]:
                     array_addrs.add(addr)
                     arr_n += 1
-                prev = last_write.get(addr)
-                if prev is not None:
-                    p_ctx = prev[0]
-                    dkey = sid * keym + prev[1]
-                    if p_ctx[0] is ids_t and ids_t:
-                        run = same_raw.get(dkey)
-                        if (
-                            run is not None
-                            and p_ctx[2][-1] == run[1]
-                            and sites_t[-1] == run[2]
-                        ):
-                            if run[5]:
-                                pim = p_ctx[1][-1]
-                                cim = iters_t[-1]
-                                if pim != cim and pim != -1 and cim != -1:
-                                    run[7] += 1
-                                else:
-                                    run[6] += 1
-                            else:
-                                run[6] += 1
-                            # stride-run accounting
-                            last = run[9]
-                            if run[8] == addr - last:
-                                run[12] += 1
-                            else:
-                                n = run[12]
-                                if n > run[11]:
-                                    run[11] = n
-                                run[10] += 1
-                                run[8] = addr - last
-                                run[12] = 1
-                            run[9] = addr
-                        else:
-                            same_slow(RAW, prev, sid, addr, same_raw, dkey)
+                for shadow, kind, same, cross in read_checks if is_read else write_checks:
+                    prev = shadow.get(addr)
+                    if prev is None:
+                        continue
+                    p_ctx, psid = prev
+                    p_ids = p_ctx[0]
+                    key = sid * keym + psid
+                    if p_ids is same_ids:
+                        memo = same.get(key)
                     else:
-                        run = tpl_raw.get(dkey)
-                        if (
-                            run is not None
-                            and run[0] is p_ctx[0]
-                            and run[2] is ids_t
-                        ):
-                            m = run[3]
-                            if m >= 0:
-                                if p_ctx[2][m] == run[5] and sites_t[m] == run[6]:
-                                    if run[4]:
-                                        pim = p_ctx[1][m]
-                                        cim = iters_t[m]
-                                        if pim != cim and pim != -1 and cim != -1:
-                                            run[10] += 1
-                                        else:
-                                            run[9] += 1
-                                    else:
-                                        run[9] += 1
-                                    # stride-run accounting
-                                    last = run[13]
-                                    if run[12] == addr - last:
-                                        run[16] += 1
-                                    else:
-                                        n = run[16]
-                                        if n > run[15]:
-                                            run[15] = n
-                                        run[14] += 1
-                                        run[12] = addr - last
-                                        run[16] = 1
-                                    run[13] = addr
-                                    pair = run[11]
-                                    if pair is not None:
-                                        dlev = pair[1]
-                                        ix = p_ctx[1][dlev]
-                                        iy = iters_t[dlev]
-                                        if ix != -1 and iy != -1:
-                                            skey = (pair[2], pair[0], addr)
-                                            if skey not in pair_seen:
-                                                pair_seen.add(skey)
-                                                pk = pair[3]
-                                                lst = pairs.get(pk)
-                                                if lst is None:
-                                                    pairs[pk] = [(ix, iy)]
-                                                else:
-                                                    lst.append((ix, iy))
-                                else:
-                                    dep_slow(RAW, prev, sid, addr, tpl_raw, dkey)
-                            # m < 0: proven no-dep for this snapshot pair
+                        memo = cross.get(key)
+                        if memo is not None and (memo[6] is not p_ids or memo[7] is not ids_t):
+                            memo = None
+                    if memo is not None:
+                        m = memo[8]
+                        if p_ctx[2][m] != memo[4] or sites_t[m] != memo[5]:
+                            memo = None
+                    if memo is None:
+                        memo = derive(kind, p_ctx, psid, sid, same, cross, key)
+                        if memo is None:
+                            continue  # the stacks share no activation
+                    else:
+                        pim = p_ctx[1][m]
+                        cim = iters_t[m]
+                        if pim != cim and pim != -1 and cim != -1:
+                            memo[3] += 1
                         else:
-                            dep_slow(RAW, prev, sid, addr, tpl_raw, dkey)
-                last_read[addr] = (ctx, sid)
-                state = ft_state.get(sid)
-                if state is None:
+                            memo[2] += 1
+                    if memo[9] is not None:
+                        # a RAW between sibling loops: the first read of each
+                        # address per reader activation yields an (i_x, i_y)
+                        w_static, d, r_act, pair_key = memo[9]
+                        ix = p_ctx[1][d]
+                        iy = iters_t[d]
+                        if ix != -1 and iy != -1:
+                            skey = (r_act, w_static, addr)
+                            if skey not in pair_seen:
+                                pair_seen.add(skey)
+                                lst = pairs.get(pair_key)
+                                if lst is None:
+                                    pairs[pair_key] = [(ix, iy)]
+                                else:
+                                    lst.append((ix, iy))
+                if is_read:
+                    last_read[addr] = (ctx, sid)
+                else:
+                    last_write[addr] = (ctx, sid)
+                walk = ft_walk.get(sid)
+                if walk is None:
                     # first touch of this sid under the current loop stack:
                     # update the loop access tables, then decide the walk
                     var = s_vars[sid]
                     line = s_lines[sid]
+                    table = loop_var_reads if is_read else loop_var_writes
                     for i in loop_idx:
                         k = (statics[i], var)
                         loop_accessed.add(k)
-                        lines = loop_var_reads.get(k)
+                        lines = table.get(k)
                         if lines is None:
-                            loop_var_reads[k] = {line}
+                            table[k] = {line}
                         else:
                             lines.add(line)
-                    state = 2
+                    walk = True
                     if af:
-                        state = 1
-                        for i in loop_idx:
-                            if (statics[i], var) not in read_first:
-                                state = 2
-                                break
-                    ft_state[sid] = state
-                if state == 2:
-                    var = s_vars[sid]
-                    for i in reversed(loop_idx):
-                        level_seen = seen[i]
-                        if addr in level_seen:
-                            break
-                        level_seen.add(addr)
-                        read_first.add((statics[i], var))
-            elif tag == EV_WRITE:
-                addr = ev[1]
-                sid = ev[2]
-                if s_elems[sid]:
-                    array_addrs.add(addr)
-                    arr_n += 1
-                prev = last_write.get(addr)
-                if prev is not None:
-                    p_ctx = prev[0]
-                    dkey = sid * keym + prev[1]
-                    if p_ctx[0] is ids_t and ids_t:
-                        run = same_waw.get(dkey)
-                        if (
-                            run is not None
-                            and p_ctx[2][-1] == run[1]
-                            and sites_t[-1] == run[2]
-                        ):
-                            if run[5]:
-                                pim = p_ctx[1][-1]
-                                cim = iters_t[-1]
-                                if pim != cim and pim != -1 and cim != -1:
-                                    run[7] += 1
-                                else:
-                                    run[6] += 1
-                            else:
-                                run[6] += 1
-                        else:
-                            same_slow(WAW, prev, sid, addr, same_waw, dkey)
-                    else:
-                        run = tpl_waw.get(dkey)
-                        if (
-                            run is not None
-                            and run[0] is p_ctx[0]
-                            and run[2] is ids_t
-                        ):
-                            m = run[3]
-                            if m >= 0:
-                                if p_ctx[2][m] == run[5] and sites_t[m] == run[6]:
-                                    if run[4]:
-                                        pim = p_ctx[1][m]
-                                        cim = iters_t[m]
-                                        if pim != cim and pim != -1 and cim != -1:
-                                            run[10] += 1
-                                        else:
-                                            run[9] += 1
-                                    else:
-                                        run[9] += 1
-                                else:
-                                    dep_slow(WAW, prev, sid, addr, tpl_waw, dkey)
-                        else:
-                            dep_slow(WAW, prev, sid, addr, tpl_waw, dkey)
-                prev = last_read.get(addr)
-                if prev is not None:
-                    p_ctx = prev[0]
-                    dkey = sid * keym + prev[1]
-                    if p_ctx[0] is ids_t and ids_t:
-                        run = same_war.get(dkey)
-                        if (
-                            run is not None
-                            and p_ctx[2][-1] == run[1]
-                            and sites_t[-1] == run[2]
-                        ):
-                            if run[5]:
-                                pim = p_ctx[1][-1]
-                                cim = iters_t[-1]
-                                if pim != cim and pim != -1 and cim != -1:
-                                    run[7] += 1
-                                else:
-                                    run[6] += 1
-                            else:
-                                run[6] += 1
-                        else:
-                            same_slow(WAR, prev, sid, addr, same_war, dkey)
-                    else:
-                        run = tpl_war.get(dkey)
-                        if (
-                            run is not None
-                            and run[0] is p_ctx[0]
-                            and run[2] is ids_t
-                        ):
-                            m = run[3]
-                            if m >= 0:
-                                if p_ctx[2][m] == run[5] and sites_t[m] == run[6]:
-                                    if run[4]:
-                                        pim = p_ctx[1][m]
-                                        cim = iters_t[m]
-                                        if pim != cim and pim != -1 and cim != -1:
-                                            run[10] += 1
-                                        else:
-                                            run[9] += 1
-                                    else:
-                                        run[9] += 1
-                                else:
-                                    dep_slow(WAR, prev, sid, addr, tpl_war, dkey)
-                        else:
-                            dep_slow(WAR, prev, sid, addr, tpl_war, dkey)
-                last_write[addr] = (ctx, sid)
-                state = ft_state.get(sid)
-                if state is None:
-                    # first touch of this sid under the current loop stack:
-                    # update the loop access tables, then decide the walk
-                    var = s_vars[sid]
-                    line = s_lines[sid]
-                    for i in loop_idx:
-                        k = (statics[i], var)
-                        loop_accessed.add(k)
-                        lines = loop_var_writes.get(k)
-                        if lines is None:
-                            loop_var_writes[k] = {line}
-                        else:
-                            lines.add(line)
-                    state = 2
-                    if af:
-                        if var not in vars_with_reads:
-                            # write-only variable: the walk only suppresses
-                            # read marks that can never come
-                            state = 1
-                        else:
-                            state = 1
+                        # skip once every live loop level has marked the
+                        # variable read-first; always skip writes of a
+                        # variable the program never reads (their walk only
+                        # suppresses read marks that can never come)
+                        walk = False
+                        if is_read or var in vars_with_reads:
                             for i in loop_idx:
                                 if (statics[i], var) not in read_first:
-                                    state = 2
+                                    walk = True
                                     break
-                    ft_state[sid] = state
-                if state == 2:
+                    ft_walk[sid] = walk
+                if walk:
+                    var = s_vars[sid]
                     for i in reversed(loop_idx):
                         level_seen = seen[i]
                         if addr in level_seen:
                             break
                         level_seen.add(addr)
+                        if is_read:
+                            read_first.add((statics[i], var))
             elif tag == EV_COST:
                 line = ev[1]
                 amount = ev[2]
@@ -974,23 +543,17 @@ class Profiler(Sink):
                     k = (cur_static, line)
                     count = site_costs.get(k)
                     site_costs[k] = amount if count is None else count + amount
-                else:
-                    self._pre_cost += amount
             elif tag == EV_STMT:
                 line = ev[1]
                 if sites and sites[-1] != line:
                     sites[-1] = line
                     sites_t = sites_t[:-1] + (line,)
-                    self._sites_t = sites_t
                     ctx = (ids_t, iters_t, sites_t)
-                    self._ctx = ctx
             elif tag == EV_ITER:
                 index = ev[2]
                 iters[-1] = index
                 iters_t = iters_t[:-1] + (index,)
-                self._iters_t = iters_t
                 ctx = (ids_t, iters_t, sites_t)
-                self._ctx = ctx
                 seen[-1] = set()
                 if ct_top is not None and index > 0:
                     acc = act_costs[-1]
@@ -998,60 +561,37 @@ class Profiler(Sink):
                     iter_marks[-1] = acc
             else:
                 if tag == EV_ENTER_FUNC:
-                    self._enter(ev[1], ev[2], "function", ev[3], ev[3])
+                    self._enter(ev[1], ev[2], "function", ev[3])
                 elif tag == EV_EXIT_FUNC:
                     self._exit()
                 elif tag == EV_ENTER_LOOP:
-                    self._enter(ev[1], ev[2], "loop", ev[3], ev[3])
+                    self._enter(ev[1], ev[2], "loop", ev[3])
                 elif tag == EV_EXIT_LOOP:
                     self._exit(ev[3])
                 else:  # pragma: no cover - exhaustiveness guard
                     raise ValueError(f"unknown event tag {tag!r}")
-                # region transitions rebuild the context snapshots and the
-                # per-activation hoists
+                # region transitions rebuild the context snapshots from the
+                # stacks, and the per-activation hoists
                 ids_t = self._ids_t
+                same_ids = ids_t or None
                 iters_t = self._iters_t
                 sites_t = self._sites_t
                 ctx = self._ctx
                 cur_static = statics[-1] if statics else -1
                 pet_top = pet_stack[-1] if pet_stack else None
                 ct_top = ct_stack[-1] if ct_stack else None
+        self._iters_t = iters_t
+        self._sites_t = sites_t
+        self._ctx = ctx
         profile.total_cost = total_cost
         profile.array_accesses = arr_n
-        self._tpl_installs = installs
-        self._sum_events = sum_events
-        self._stride_runs = stride_runs
-        self._longest_run = longest_run
-
-    # ------------------------------------------------------------------
-
-    def summarization_stats(self) -> dict[str, int]:
-        """Counters describing how much per-access work was collapsed.
-
-        Meaningful after :meth:`finish`.  ``dep_events`` is the number of
-        dependence-recording events; ``exact_derivations`` of those took the
-        full divergence-scan path (each installing a descriptor);
-        ``stride_runs`` and ``longest_run`` describe the address runs the
-        descriptors observed.
-        """
-        return {
-            "dep_events": self._sum_events,
-            "exact_derivations": self._tpl_installs,
-            "summarized_events": self._sum_events - self._tpl_installs,
-            "stride_runs": self._stride_runs,
-            "longest_run": self._longest_run,
-        }
 
     def finish(self) -> None:
         profile = self.profile
-        for tpl in (self._tpl_raw, self._tpl_waw, self._tpl_war):
-            for run in tpl.values():
-                self._flush_tpl(run)
-            tpl.clear()
-        for tpl in (self._same_raw, self._same_waw, self._same_war):
-            for run in tpl.values():
-                self._flush_same(run)
-            tpl.clear()
+        for memos in self._memos:
+            for memo in memos.values():
+                _flush(self._deps_raw, memo)
+            memos.clear()
         if self._deps_raw:
             deps = profile.deps
             s_lines = self._s_lines

@@ -8,7 +8,7 @@ loop iteration, and an LLVM-IR-like instruction cost to an attached
 """
 
 from repro.runtime.interpreter import Interpreter, RunResult, run_program
-from repro.runtime.events import Sink, MultiSink
+from repro.runtime.events import Sink
 from repro.runtime.values import ArrayValue
 from repro.runtime.replay import (
     ReplayError,
@@ -22,7 +22,6 @@ __all__ = [
     "RunResult",
     "run_program",
     "Sink",
-    "MultiSink",
     "ArrayValue",
     "ReplayError",
     "results_equal",

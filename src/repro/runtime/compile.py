@@ -40,10 +40,7 @@ tree-walker remains the executable reference.
 
 from __future__ import annotations
 
-import sys
 from typing import Any, Callable, Sequence
-
-import numpy as np
 
 from repro.errors import InterpreterError, StepLimitExceeded
 from repro.lang.ast_nodes import (
@@ -89,6 +86,7 @@ from repro.runtime.interpreter import (
     _c_int_div,
     _c_int_mod,
     build_globals,
+    run_entry,
 )
 from repro.runtime.intrinsics import INTRINSICS
 from repro.runtime.sites import get_site_table
@@ -1298,63 +1296,8 @@ class CompiledEngine:
 
     def run(self, entry: str, args: Sequence[Any] = ()) -> RunResult:
         """Call *entry* with Python *args*; see :meth:`Interpreter.run`."""
-        if entry not in self._functions:
-            raise InterpreterError(f"no function named {entry!r}")
-        func = self._functions[entry]
-        if len(args) != len(func.params):
-            raise InterpreterError(
-                f"{entry}() expects {len(func.params)} arguments, got {len(args)}"
-            )
-        bound: list[ScalarCell | ArrayValue | int | float] = []
-        arrays: dict[str, ArrayValue] = {}
-        ref_cells: dict[str, ScalarCell] = {}
-        for param, arg in zip(func.params, args):
-            if param.is_array:
-                if isinstance(arg, ArrayValue):
-                    value = arg
-                else:
-                    arr = np.asarray(
-                        arg, dtype=np.int64 if param.type == "int" else np.float64
-                    )
-                    if arr.ndim != param.array_rank:
-                        raise InterpreterError(
-                            f"argument for {param.name!r} has rank {arr.ndim}, "
-                            f"expected {param.array_rank}"
-                        )
-                    value = ArrayValue.from_numpy(arr, self.space, name=param.name)
-                arrays[param.name] = value
-                bound.append(value)
-            elif param.by_ref:
-                cell = ScalarCell(
-                    addr=self.space.alloc(1),
-                    value=int(arg) if param.type == "int" else float(arg),
-                    name=param.name,
-                )
-                ref_cells[param.name] = cell
-                bound.append(cell)
-            else:
-                bound.append(int(arg) if param.type == "int" else float(arg))
-
-        invoke = self._get_invoke(entry)
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 40_000))
-        try:
-            value = invoke(bound, func.line)
-        finally:
-            sys.setrecursionlimit(old_limit)
-        self._flush()
-        if self.sink is not None:
-            self._flush_events()
-            self.sink.finish()
-        return RunResult(
-            value=value,
-            total_cost=self._tot[0],
-            arrays={name: a.to_numpy() for name, a in arrays.items()},
-            scalars={name: c.value for name, c in ref_cells.items()},
-            globals={
-                name: (slot.to_numpy() if isinstance(slot, ArrayValue) else slot.value)
-                for name, slot in self.globals.items()
-            },
+        return run_entry(
+            self, entry, args, lambda func, bound: self._get_invoke(entry)(bound, func.line)
         )
 
 

@@ -1,40 +1,26 @@
-"""Sink protocol: how the interpreter reports dynamic events.
+"""Sink protocol: how the execution engines report dynamic events.
 
-The interpreter pushes events; sinks pull no state.  A sink receives:
+The engines push events; sinks pull no state.  A sink receives:
 
-* ``enter_function(region_id, activation_id, call_line)`` /
-  ``exit_function(region_id, activation_id)``
-* ``enter_loop(region_id, activation_id, line)`` /
-  ``exit_loop(region_id, activation_id, trip_count)``
-* ``loop_iteration(region_id, index)`` — *index* is the 0-based iteration
-  about to execute
-* ``on_stmt(line)`` — a statement at the current region level starts
-* ``on_read(addr, var, line)`` / ``on_write(addr, var, line)``
-* ``on_cost(line, amount)`` — IR-instruction cost accrued at *line* since
-  the last flush (flushed per statement and around region transitions)
+* ``set_site_table(table)`` — once, before any event, the program's static
+  :class:`~repro.runtime.sites.SiteTable`;
+* ``consume_batch(events)`` — the events, in execution order, as chunks of
+  compact tagged tuples;
+* ``finish()`` — once, when the run completes.
 
-``Sink`` provides no-op defaults so concrete sinks override only what they
-need; :class:`MultiSink` fans out to several sinks in order.
+``Sink`` provides no-op defaults, so a sink overrides only what it needs.
 
 Batched dispatch
 ----------------
-Delivering one Python method call per event is the profiling pipeline's
-throughput ceiling, so the interpreter does not call the per-event handlers
-directly: it appends compact tagged tuples to a preallocated buffer and
-flushes the buffer in chunks via :meth:`Sink.consume_batch`.  The base
-implementation replays a batch through the per-event handlers, so any
-existing sink keeps working unchanged; hot sinks (the profiler) override
-``consume_batch`` with a loop that hoists state into locals and processes
-events inline.  Event ordering within and across batches is exactly the
-per-event call order.
+Delivering one Python method call per event would be the profiling
+pipeline's throughput ceiling, so the engines append tagged tuples to a
+preallocated buffer and flush it in chunks; a hot sink (the profiler)
+processes each chunk in one loop with its state hoisted into locals.  Event
+ordering within and across batches is exactly the execution order.
 
-Memory-access events do not carry ``(var, line, element)`` strings and flags
-per event: the execution engines announce the program's static
-:class:`~repro.runtime.sites.SiteTable` once via :meth:`Sink.set_site_table`,
-and each access event then carries only its compact site id (see
-``repro.runtime.sites``).  The base ``consume_batch`` resolves sids back to
-``(var, line, element)`` before replaying through the per-event handlers, so
-sinks written against the per-event API never see a sid.
+Memory-access events do not carry ``(var, line, element)`` strings and flags:
+each carries only its compact site id, which indexes the site table (see
+``repro.runtime.sites``).
 
 Batch event layouts (first element is the tag)::
 
@@ -47,6 +33,11 @@ Batch event layouts (first element is the tag)::
     (EV_ENTER_LOOP, region_id, activation_id, line)
     (EV_EXIT_LOOP, region_id, activation_id, trip_count)
     (EV_ITER, region_id, index)
+
+``EV_STMT`` marks a statement starting at the current region level;
+``EV_COST`` carries the IR-instruction cost accrued at *line* since the
+last flush (flushed per statement and around region transitions);
+``EV_ITER``'s *index* is the 0-based iteration about to execute.
 """
 
 from __future__ import annotations
@@ -66,146 +57,15 @@ EV_EXIT_LOOP = 8
 
 
 class Sink:
-    """Base sink with no-op handlers."""
+    """Base sink: every handler is a no-op."""
 
-    __slots__ = ("_site_table",)
-
-    def set_site_table(self, table) -> None:
-        """Announce the program's static access-site table.
-
-        Called once by an execution engine before any events flow.  The base
-        class keeps the table so :meth:`consume_batch` can resolve the sids
-        in access events for per-event handlers; sinks with their own batch
-        loop typically hoist the table's arrays instead.
-        """
-        self._site_table = table
-
-    def enter_function(self, region_id: int, activation_id: int, call_line: int) -> None:
-        pass
-
-    def exit_function(self, region_id: int, activation_id: int) -> None:
-        pass
-
-    def enter_loop(self, region_id: int, activation_id: int, line: int) -> None:
-        pass
-
-    def exit_loop(self, region_id: int, activation_id: int, trip_count: int) -> None:
-        pass
-
-    def loop_iteration(self, region_id: int, index: int) -> None:
-        pass
-
-    def on_stmt(self, line: int) -> None:
-        pass
-
-    def on_read(self, addr: int, var: str, line: int, element: bool = False) -> None:
-        """*element* is True for array-element accesses (memory traffic that
-        reaches DRAM); scalars are register/stack-resident."""
-
-    def on_write(self, addr: int, var: str, line: int, element: bool = False) -> None:
-        pass
-
-    def on_cost(self, line: int, amount: int) -> None:
-        pass
-
-    def finish(self) -> None:
-        """Called once when the profiled run completes."""
-
-    def consume_batch(self, events: Sequence[tuple]) -> None:
-        """Deliver a chunk of tagged event tuples in order.
-
-        The default implementation replays the batch through the per-event
-        handlers, so sinks that only override those still see every event.
-        """
-        on_read = self.on_read
-        on_write = self.on_write
-        on_cost = self.on_cost
-        on_stmt = self.on_stmt
-        table = getattr(self, "_site_table", None)
-        s_lines = table.lines if table is not None else None
-        s_vars = table.vars if table is not None else None
-        s_elems = table.elements if table is not None else None
-        for ev in events:
-            tag = ev[0]
-            if tag == EV_READ:
-                sid = ev[2]
-                on_read(ev[1], s_vars[sid], s_lines[sid], s_elems[sid])
-            elif tag == EV_WRITE:
-                sid = ev[2]
-                on_write(ev[1], s_vars[sid], s_lines[sid], s_elems[sid])
-            elif tag == EV_COST:
-                on_cost(ev[1], ev[2])
-            elif tag == EV_STMT:
-                on_stmt(ev[1])
-            elif tag == EV_ITER:
-                self.loop_iteration(ev[1], ev[2])
-            elif tag == EV_ENTER_FUNC:
-                self.enter_function(ev[1], ev[2], ev[3])
-            elif tag == EV_EXIT_FUNC:
-                self.exit_function(ev[1], ev[2])
-            elif tag == EV_ENTER_LOOP:
-                self.enter_loop(ev[1], ev[2], ev[3])
-            elif tag == EV_EXIT_LOOP:
-                self.exit_loop(ev[1], ev[2], ev[3])
-            else:  # pragma: no cover - exhaustiveness guard
-                raise ValueError(f"unknown event tag {tag!r}")
-
-
-class MultiSink(Sink):
-    """Fan-out sink delivering every event to each child in order."""
-
-    __slots__ = ("sinks",)
-
-    def __init__(self, *sinks: Sink) -> None:
-        self.sinks = [s for s in sinks if s is not None]
+    __slots__ = ()
 
     def set_site_table(self, table) -> None:
-        self._site_table = table
-        for s in self.sinks:
-            s.set_site_table(table)
-
-    def enter_function(self, region_id: int, activation_id: int, call_line: int) -> None:
-        for s in self.sinks:
-            s.enter_function(region_id, activation_id, call_line)
-
-    def exit_function(self, region_id: int, activation_id: int) -> None:
-        for s in self.sinks:
-            s.exit_function(region_id, activation_id)
-
-    def enter_loop(self, region_id: int, activation_id: int, line: int) -> None:
-        for s in self.sinks:
-            s.enter_loop(region_id, activation_id, line)
-
-    def exit_loop(self, region_id: int, activation_id: int, trip_count: int) -> None:
-        for s in self.sinks:
-            s.exit_loop(region_id, activation_id, trip_count)
-
-    def loop_iteration(self, region_id: int, index: int) -> None:
-        for s in self.sinks:
-            s.loop_iteration(region_id, index)
-
-    def on_stmt(self, line: int) -> None:
-        for s in self.sinks:
-            s.on_stmt(line)
-
-    def on_read(self, addr: int, var: str, line: int, element: bool = False) -> None:
-        for s in self.sinks:
-            s.on_read(addr, var, line, element)
-
-    def on_write(self, addr: int, var: str, line: int, element: bool = False) -> None:
-        for s in self.sinks:
-            s.on_write(addr, var, line, element)
-
-    def on_cost(self, line: int, amount: int) -> None:
-        for s in self.sinks:
-            s.on_cost(line, amount)
-
-    def finish(self) -> None:
-        for s in self.sinks:
-            s.finish()
+        """Announce the program's static access-site table."""
 
     def consume_batch(self, events: Sequence[tuple]) -> None:
-        # Deliver whole chunks to each child so hot children (profilers)
-        # keep their batched fast path even behind a fan-out.
-        for s in self.sinks:
-            s.consume_batch(events)
+        """Deliver a chunk of tagged event tuples in order."""
+
+    def finish(self) -> None:
+        """Called once when the run completes."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.lang.ast_nodes import (
     Stmt,
     UnaryOp,
     VarDecl,
-    VarLV,
     VarRef,
     While,
 )
@@ -131,6 +130,76 @@ def build_globals(
                 addr=space.alloc(1), value=value, name=decl.name
             )
     return globals_
+
+
+def run_entry(
+    engine, entry: str, args: Sequence[Any], invoke: Callable[[Function, list], Any]
+) -> RunResult:
+    """The ``run`` of both engines: bind *args*, call *entry*, collect.
+
+    *engine* is an :class:`Interpreter` or a compiled engine.  Checks the
+    arity, binds the Python *args* into fresh storage in ``engine.space``,
+    calls ``invoke(func, bound)`` under a raised recursion limit, flushes
+    the engine's pending events to its sink, and builds the
+    :class:`RunResult` from the bound storage and ``engine.globals``.
+    """
+    func = engine._functions.get(entry)
+    if func is None:
+        raise InterpreterError(f"no function named {entry!r}")
+    if len(args) != len(func.params):
+        raise InterpreterError(
+            f"{entry}() expects {len(func.params)} arguments, got {len(args)}"
+        )
+    bound: list[ScalarCell | ArrayValue | int | float] = []
+    arrays: dict[str, ArrayValue] = {}
+    ref_cells: dict[str, ScalarCell] = {}
+    for param, arg in zip(func.params, args):
+        if param.is_array:
+            if isinstance(arg, ArrayValue):
+                value = arg
+            else:
+                arr = np.asarray(
+                    arg, dtype=np.int64 if param.type == "int" else np.float64
+                )
+                if arr.ndim != param.array_rank:
+                    raise InterpreterError(
+                        f"argument for {param.name!r} has rank {arr.ndim}, "
+                        f"expected {param.array_rank}"
+                    )
+                value = ArrayValue.from_numpy(arr, engine.space, name=param.name)
+            arrays[param.name] = value
+            bound.append(value)
+        elif param.by_ref:
+            cell = ScalarCell(
+                addr=engine.space.alloc(1),
+                value=int(arg) if param.type == "int" else float(arg),
+                name=param.name,
+            )
+            ref_cells[param.name] = cell
+            bound.append(cell)
+        else:
+            bound.append(int(arg) if param.type == "int" else float(arg))
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 40_000))
+    try:
+        value = invoke(func, bound)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    engine._flush()
+    if engine.sink is not None:
+        engine._flush_events()
+        engine.sink.finish()
+    return RunResult(
+        value=value,
+        total_cost=engine.total_cost,
+        arrays={name: a.to_numpy() for name, a in arrays.items()},
+        scalars={name: c.value for name, c in ref_cells.items()},
+        globals={
+            name: (slot.to_numpy() if isinstance(slot, ArrayValue) else slot.value)
+            for name, slot in engine.globals.items()
+        },
+    )
 
 
 class _ReturnSignal(Exception):
@@ -258,62 +327,8 @@ class Interpreter:
         passed by value; ``&``-reference scalar parameters receive a fresh
         cell whose final value appears in ``RunResult.scalars``.
         """
-        if entry not in self._functions:
-            raise InterpreterError(f"no function named {entry!r}")
-        func = self._functions[entry]
-        if len(args) != len(func.params):
-            raise InterpreterError(
-                f"{entry}() expects {len(func.params)} arguments, got {len(args)}"
-            )
-        bound: list[ScalarCell | ArrayValue | int | float] = []
-        arrays: dict[str, ArrayValue] = {}
-        ref_cells: dict[str, ScalarCell] = {}
-        for param, arg in zip(func.params, args):
-            if param.is_array:
-                if isinstance(arg, ArrayValue):
-                    value = arg
-                else:
-                    arr = np.asarray(
-                        arg, dtype=np.int64 if param.type == "int" else np.float64
-                    )
-                    if arr.ndim != param.array_rank:
-                        raise InterpreterError(
-                            f"argument for {param.name!r} has rank {arr.ndim}, "
-                            f"expected {param.array_rank}"
-                        )
-                    value = ArrayValue.from_numpy(arr, self.space, name=param.name)
-                arrays[param.name] = value
-                bound.append(value)
-            elif param.by_ref:
-                cell = ScalarCell(
-                    addr=self.space.alloc(1),
-                    value=int(arg) if param.type == "int" else float(arg),
-                    name=param.name,
-                )
-                ref_cells[param.name] = cell
-                bound.append(cell)
-            else:
-                bound.append(int(arg) if param.type == "int" else float(arg))
-
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(old_limit, 40_000))
-        try:
-            value = self._invoke(func, bound, call_line=func.line)
-        finally:
-            sys.setrecursionlimit(old_limit)
-        self._flush()
-        if self.sink is not None:
-            self._flush_events()
-            self.sink.finish()
-        return RunResult(
-            value=value,
-            total_cost=self.total_cost,
-            arrays={name: a.to_numpy() for name, a in arrays.items()},
-            scalars={name: c.value for name, c in ref_cells.items()},
-            globals={
-                name: (slot.to_numpy() if isinstance(slot, ArrayValue) else slot.value)
-                for name, slot in self.globals.items()
-            },
+        return run_entry(
+            self, entry, args, lambda func, bound: self._invoke(func, bound, func.line)
         )
 
     # ------------------------------------------------------------------

@@ -23,18 +23,6 @@ class IntrinsicSpec:
     fn: Callable
 
 
-def _c_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q = abs(a) // abs(b)
-        return -q if (a < 0) != (b < 0) else q
-    return a / b
-
-
-def _imod(a: int, b: int) -> int:
-    r = abs(a) % abs(b)
-    return -r if a < 0 else r
-
-
 INTRINSICS: dict[str, IntrinsicSpec] = {
     spec.name: spec
     for spec in (

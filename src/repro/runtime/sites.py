@@ -9,8 +9,7 @@ never the expression itself, so this module indexes those positions once per
 program into a :class:`SiteTable` and tags each AST node with its site id
 (``_sid``).  The interpreter and the closure compiler then emit compact
 ``(tag, addr, sid)`` event tuples instead of re-packing the same strings and
-flags into every event, and the profiler's dependence summarizer keys its
-per-site stride-run descriptors by sid.
+flags into every event, and the profiler keys its derivation memos by sid.
 
 The table also answers one static question the profiler exploits:
 :attr:`SiteTable.alias_free`.  MiniC has exactly one aliasing mechanism —
@@ -46,12 +45,10 @@ class SiteTable:
 
     ``lines[sid]``, ``vars[sid]``, ``writes[sid]`` and ``elements[sid]``
     give the source line, variable name, direction, and array-element flag
-    of site ``sid``.  Sites past ``n_static`` are *pseudo sites* allocated
-    at runtime for events delivered through the legacy per-event ``Sink``
-    API (which carries ``(line, var, element)`` instead of a sid).
+    of site ``sid``.
     """
 
-    __slots__ = ("lines", "vars", "writes", "elements", "alias_free", "n_static", "_pseudo")
+    __slots__ = ("lines", "vars", "writes", "elements", "alias_free")
 
     def __init__(self) -> None:
         self.lines: list[int] = []
@@ -59,8 +56,6 @@ class SiteTable:
         self.writes: list[bool] = []
         self.elements: list[bool] = []
         self.alias_free = True
-        self.n_static = 0
-        self._pseudo: dict[tuple[int, str, bool, bool], int] = {}
 
     def _add(self, line: int, var: str, write: bool, element: bool) -> int:
         sid = len(self.lines)
@@ -68,19 +63,6 @@ class SiteTable:
         self.vars.append(var)
         self.writes.append(write)
         self.elements.append(element)
-        return sid
-
-    def pseudo_sid(self, line: int, var: str, write: bool, element: bool) -> int:
-        """A (cached) site id for an event that arrived without one.
-
-        Pseudo sites make the per-event ``Sink`` path and hand-driven sinks
-        work against the same bookkeeping as the batched sid path.
-        """
-        key = (line, var, write, element)
-        sid = self._pseudo.get(key)
-        if sid is None:
-            sid = self._add(line, var, write, element)
-            self._pseudo[key] = sid
         return sid
 
 
@@ -138,7 +120,6 @@ def build_site_table(program: Program) -> SiteTable:
                         expr._sid = table._add(expr.line, expr.name, False, False)
                     elif ekind is ArrayRef:
                         expr._sid = table._add(expr.line, expr.name, False, True)
-    table.n_static = len(table.lines)
     _check_alias_freedom(program, table)
     return table
 

@@ -102,9 +102,6 @@ class ArrayValue:
             flat += ix * stride
         return flat
 
-    def addr_of(self, flat: int) -> int:
-        return self.base + flat
-
     def get(self, flat: int) -> int | float:
         return self.data[flat]
 

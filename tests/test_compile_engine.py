@@ -8,7 +8,10 @@ tests sweep the full benchmark registry plus a deterministic family of
 seeded generated programs (loops, conditionals, calls, recursion, break /
 continue / early return, truncating division) through both engines and
 compare ``profile_digest`` on each, so any divergence in event streams is
-caught at the serialized-profile level.
+caught at the serialized-profile level.  The registry digests are also
+pinned to the benchmark's committed references
+(``benchmarks/perf/expected.json``), which catches a profiler change that
+alters both engines' profiles alike.
 
 C-style truncating division and modulo (``_c_int_div`` / ``_c_int_mod``)
 get direct unit coverage for negative operands — the one place MiniC
@@ -17,7 +20,9 @@ signals (break, continue, return) are exercised through both engines from
 every nesting shape the compiler handles specially.
 """
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +78,14 @@ def _assert_equivalent(program, entry, args):
 # full-registry differential sweep
 
 
+# The benchmark's committed tree-engine references.  Both engines feed the
+# same Profiler, so comparing them with each other cannot catch a profiler
+# change that alters both profiles alike; the committed digests can.
+_EXPECTED = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "expected.json").read_text()
+)["registry"]
+
+
 @pytest.mark.parametrize(
     "spec", all_benchmarks(), ids=lambda spec: spec.name
 )
@@ -80,6 +93,7 @@ def test_registry_profiles_identical_across_engines(spec):
     compiled = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="compiled")
     tree = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="tree")
     assert profile_digest(compiled) == profile_digest(tree)
+    assert profile_digest(tree) == _EXPECTED[spec.name]["profile_digest"]
 
 
 def test_unknown_engine_rejected():
