@@ -33,10 +33,12 @@ paper-vs-measured record.
 # submodule imports below so they may `from repro import __version__`.
 __version__ = "1.4.0"
 
-from repro.api import analyze_source, analysis_report, compile_source
-from repro.patterns.engine import AnalysisResult, analyze, summarize_patterns
+from repro.api import analyze_source, compile_source
+from repro.patterns.engine import analyze, summarize_patterns
+from repro.patterns.framework import AnalysisResult
 from repro.lang.parser import parse_program
 from repro.profiling.runner import profile_run, profile_runs
+from repro.reporting.report import analysis_report
 from repro.runtime.interpreter import run_program
 
 __all__ = [

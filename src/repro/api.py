@@ -12,39 +12,9 @@ from typing import Any, Sequence
 from repro.lang.ast_nodes import Program
 from repro.lang.parser import parse_program
 from repro.lang.validate import validate_program
-from repro.patterns.engine import AnalysisResult, analyze
-from repro.patterns.framework import (
-    AnalysisContext,
-    AnalysisTrace,
-    Detector,
-    DetectorRegistry,
-    Evidence,
-    default_registry,
-)
-from repro.patterns.schema import (
-    SCHEMA_VERSION,
-    analysis_from_dict,
-    analysis_from_json,
-    analysis_to_dict,
-    analysis_to_json,
-)
+from repro.patterns.engine import analyze
+from repro.patterns.framework import AnalysisResult
 from repro.profiling.hotspots import DEFAULT_THRESHOLD
-from repro.reporting.report import analysis_report, trace_report
-from repro.runtime.parallel import (
-    AnalysisTimeout,
-    BenchmarkOutcome,
-    FailedOutcome,
-    analyze_registry,
-    outcome_from_dict,
-    run_one,
-)
-from repro.service import (
-    AnalysisService,
-    Job,
-    JobStore,
-    ServiceClient,
-    ServiceError,
-)
 
 
 def compile_source(source: str) -> Program:
@@ -78,31 +48,4 @@ def analyze_source(
         )
 
 
-__all__ = [
-    "compile_source",
-    "analyze_source",
-    "analysis_report",
-    "trace_report",
-    "analyze_registry",
-    "run_one",
-    "AnalysisTimeout",
-    "BenchmarkOutcome",
-    "FailedOutcome",
-    "outcome_from_dict",
-    "AnalysisService",
-    "Job",
-    "JobStore",
-    "ServiceClient",
-    "ServiceError",
-    "AnalysisContext",
-    "AnalysisTrace",
-    "Detector",
-    "DetectorRegistry",
-    "Evidence",
-    "default_registry",
-    "SCHEMA_VERSION",
-    "analysis_to_dict",
-    "analysis_from_dict",
-    "analysis_to_json",
-    "analysis_from_json",
-]
+__all__ = ["compile_source", "analyze_source"]

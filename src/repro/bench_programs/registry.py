@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.lang.ast_nodes import Program
 from repro.lang.analysis import source_loc
 from repro.lang.parser import parse_program
 from repro.lang.validate import validate_program
-from repro.patterns.engine import AnalysisResult, analyze
+from repro.patterns.engine import analyze
+from repro.patterns.framework import AnalysisResult
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ The layers:
   only defensible cross-program average of ratios);
 * :func:`baseline_deltas` — per-cell regression deltas of one campaign
   against a named baseline campaign (matched on ``cell_id``);
-* :func:`records_to_csv` / :func:`records_table` /
+* :func:`records_to_csv` / :func:`groups_to_csv` / :func:`records_table` /
   :func:`groups_table` / :func:`deltas_table` — CSV and text rendering;
 * :func:`table3_docs` — the closure proof: the stored default-grid
   documents in registry order, byte-identical to ``repro table3 --json``.
@@ -178,21 +178,37 @@ _CSV_FIELDS = (
 )
 
 
-def records_to_csv(records: Sequence[dict[str, Any]]) -> str:
-    """Flat CSV of cell records (one row per cell, stable column set)."""
+def _to_csv(fields: Sequence[str], rows: Sequence[dict[str, Any]]) -> str:
+    """CSV text: a header row, then *fields* of each row (None prints empty)."""
     import csv
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow(["" if row.get(f) is None else row.get(f) for f in fields])
+    return buffer.getvalue()
+
+
+def records_to_csv(records: Sequence[dict[str, Any]]) -> str:
+    """Flat CSV of cell records (one row per cell, stable column set)."""
+    rows = []
     for record in records:
         result = record.get("result") or {}
-        row = dict(record)
-        row["label"] = result.get("label")
-        row["best_speedup"] = result.get("best_speedup")
-        row["best_threads"] = result.get("best_threads")
-        writer.writerow(["" if row.get(f) is None else row.get(f) for f in _CSV_FIELDS])
-    return buffer.getvalue()
+        rows.append({
+            **record,
+            "label": result.get("label"),
+            "best_speedup": result.get("best_speedup"),
+            "best_threads": result.get("best_threads"),
+        })
+    return _to_csv(_CSV_FIELDS, rows)
+
+
+def groups_to_csv(groups: Sequence[dict[str, Any]], keys: Sequence[str]) -> str:
+    """CSV of :func:`group_records` output: the group keys, then the tallies."""
+    return _to_csv(
+        list(keys) + ["cells", "done", "geomean_speedup", "max_speedup"], groups
+    )
 
 
 def records_table(records: Sequence[dict[str, Any]], title: str = "Campaign cells") -> str:

@@ -25,21 +25,21 @@ separators): what was stored is re-emitted byte-identically across
 restarts, which is what lets ``campaign query --table3`` reproduce
 Table III exactly.
 
-Like the service's sqlite log, one connection is shared under one lock,
-WAL mode, ``synchronous=NORMAL``.  Unlike it, writes are **not**
-best-effort: a campaign store that cannot record results is useless, so
-errors propagate.
+The sqlite plumbing (WAL connection, document encoding) is the service
+log's (:func:`repro.service.store.open_db`).  Unlike that log, writes are
+**not** best-effort: a campaign store that cannot record results is
+useless, so errors propagate.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import sqlite3
 import threading
 import time
 from pathlib import Path
 from typing import Any
+
+from repro.service.store import dump, load, open_db
 
 _ENV_VAR = "REPRO_CAMPAIGN_DB"
 
@@ -76,17 +76,6 @@ def default_campaign_db() -> Path:
     return Path.home() / ".cache" / "repro" / "campaigns.sqlite"
 
 
-def _dump(doc: Any) -> str | None:
-    """Canonical JSON text for a document column (None stays NULL)."""
-    if doc is None:
-        return None
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _load(text: str | None) -> Any:
-    return None if text is None else json.loads(text)
-
-
 class CampaignStore:
     """One WAL-mode sqlite file holding campaigns and their results."""
 
@@ -94,11 +83,7 @@ class CampaignStore:
         self.path = Path(path) if path is not None else default_campaign_db()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        self._conn = open_db(str(self.path), _SCHEMA)
 
     def close(self) -> None:
         with self._lock:
@@ -121,14 +106,14 @@ class CampaignStore:
             row = self._conn.execute(
                 "SELECT doc FROM results WHERE digest = ?", (digest,)
             ).fetchone()
-        return _load(row[0]) if row else None
+        return load(row[0]) if row else None
 
     def put_result(self, digest: str, doc: Any) -> None:
         """Store *doc* under *digest* (idempotent — content-addressed)."""
         with self._lock:
             self._conn.execute(
                 "INSERT OR IGNORE INTO results VALUES (?, ?, ?)",
-                (digest, _dump(doc), time.time()),
+                (digest, dump(doc), time.time()),
             )
             self._conn.commit()
 
@@ -184,7 +169,7 @@ class CampaignStore:
             self._conn.execute(
                 "UPDATE cells SET state = ?, error = ?, updated_at = ? "
                 "WHERE campaign = ? AND cell_id = ?",
-                (state, _dump(error), time.time(), campaign, cell_id),
+                (state, dump(error), time.time(), campaign, cell_id),
             )
             self._conn.commit()
 
@@ -211,7 +196,7 @@ class CampaignStore:
                 "threshold": r[5],
                 "digest": r[6],
                 "state": r[7],
-                "error": _load(r[8]),
+                "error": load(r[8]),
                 "ord": r[9],
             }
             for r in rows

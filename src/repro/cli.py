@@ -1,28 +1,19 @@
-"""Command-line interface.
+"""Command-line interface: ``repro-patterns`` (also ``python -m repro``).
 
-Subcommands::
+The paper's two-phase pipeline, for one program or the whole registry::
 
-    repro-patterns analyze FILE --entry NAME [--scalar 5] [--zeros A:40,40]
-                                [--rand B:40,40] [--seed 3] [--no-source]
-    repro-patterns bench NAME          # analyze a registered benchmark
-    repro-patterns list                # list registered benchmarks
-    repro-patterns table3              # regenerate the Table III summary
+    repro-patterns analyze FILE --entry NAME [inputs]         # profile + detect
+    repro-patterns profile FILE --entry NAME [inputs] -o OUT  # phase 1: profile file
+    repro-patterns detect FILE --profile OUT                  # phase 2 (or cached inputs)
+    repro-patterns bench NAME                # one registered benchmark, simulated
+    repro-patterns bench --smoke             # perf/cache sanity check
+    repro-patterns list                      # registered benchmarks
+    repro-patterns table3                    # regenerate the Table III summary
+    repro-patterns experiments [-o FILE]     # the full markdown experiment report
 
-Array arguments are declared positionally in the order the entry function
-expects them: ``--scalar``, ``--zeros`` and ``--rand`` options are consumed
-left to right.
-
-``analyze``, ``detect``, ``bench``, and ``table3`` accept ``--json`` to
-emit the versioned analysis schema (see ``repro.patterns.schema``) instead
-of the text report — pretty-printed by default, one canonical line with
-``--compact``.
-
-``bench`` and ``table3`` tolerate per-program failures: ``--timeout`` and
-``--retries`` bound each analysis attempt, and ``table3`` renders a failed
-program as a row of ``-`` cells plus a failure footer (``--json`` emits the
-structured failure record instead).  ``--keep-going`` (the default) exits 0
-with partial results; ``--fail-fast`` stops at the first exhausted failure
-and exits non-zero.
+Inputs are ``--scalar 5``, ``--zeros A:40,40`` and ``--rand B:40,40`` (with
+``--seed``), declared positionally in the order the entry function expects
+them: the options are consumed left to right.
 
 The service commands talk to the long-lived analysis daemon
 (see ``docs/service.md``)::
@@ -32,6 +23,7 @@ The service commands talk to the long-lived analysis daemon
     repro-patterns submit --bench NAME [--wait]        # queue a benchmark
     repro-patterns jobs [--state done]                 # list jobs
     repro-patterns result ID [--wait] [--json]         # fetch one result
+    repro-patterns metrics                             # Prometheus exposition
 
 The campaign commands drive the experiment harness (``repro.campaign``,
 see ``docs/campaigns.md``)::
@@ -41,14 +33,32 @@ see ``docs/campaigns.md``)::
     repro-patterns campaign query [filters] [--csv]    # stored results
     repro-patterns campaign query --name NAME --table3 # regenerate Table III
 
-The corpus commands generate and score labeled program corpora
-(``repro.corpus``, see ``docs/corpus.md``)::
+The corpus and learn commands generate and score labeled program corpora
+(``repro.corpus``, see ``docs/corpus.md``) and judge a learned baseline
+against the rule-based detectors (``repro.learn``, see ``docs/learned.md``)::
 
     repro-patterns corpus generate --count N --seed S --out DIR
     repro-patterns corpus score DIR [--json|--csv]
+    repro-patterns learn features DIR [--json|--csv]
+    repro-patterns learn train DIR [--out FILE]
+    repro-patterns learn eval DIR [--json|--csv]
 
 ``campaign run --corpus DIR`` and ``serve --corpus DIR`` register a
 generated corpus as sweepable benchmarks for the run.
+
+Output: ``--json`` emits the command's versioned document (for analyses,
+the schema of ``repro.patterns.schema``) — pretty-printed by default, one
+canonical line with ``--compact``.  Commands with ``--csv`` print CSV
+instead of the text table; ``--json`` wins when both are given.
+
+Failures: a command that cannot run prints ``<command>: <reason>`` on
+stderr and exits 2 for a bad invocation (unreadable FILE or corpus, a
+missing flag) or 1 for a failed run.  ``bench`` and ``table3`` tolerate
+per-program failures: ``--timeout`` and ``--retries`` bound each analysis
+attempt, and ``table3`` renders a failed program as a row of ``-`` cells
+plus a failure footer (``--json`` emits the structured failure record
+instead).  ``--keep-going`` (the default) exits 0 with partial results;
+``--fail-fast`` stops at the first exhausted failure and exits non-zero.
 """
 
 from __future__ import annotations
@@ -61,19 +71,66 @@ from repro.api import analyze_source
 from repro.reporting.report import analysis_report
 
 
-def _print_analysis(args: argparse.Namespace, result) -> None:
-    """Emit one analysis result per the output flags (--json/--compact)."""
-    if getattr(args, "json", False):
-        print(result.to_json(pretty=not getattr(args, "compact", False)))
-        return
-    print(
-        analysis_report(
-            result,
-            include_source=not args.no_source,
-            include_trace=not getattr(args, "no_trace", False),
-        )
-    )
+class CommandError(Exception):
+    """Abort a command: :func:`main` prints ``<command>: <message>`` on
+    stderr and exits with *code* (2: bad invocation, 1: failed run)."""
 
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
+
+
+# -- output ----------------------------------------------------------------
+
+def _print_doc(args: argparse.Namespace, doc) -> None:
+    """Print *doc* as JSON: one canonical line with --compact, else pretty."""
+    if args.compact:
+        from repro.profiling.serialize import canonical_json
+
+        print(canonical_json(doc))
+    else:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _emit(args: argparse.Namespace, doc, text, csv=None) -> None:
+    """Print *doc* per the output flags: --json first, then --csv, else the
+    text table.  *text* and *csv* render the document."""
+    if args.json:
+        _print_doc(args, doc)
+    elif csv is not None and args.csv:
+        print(csv(doc), end="")
+    else:
+        print(text(doc))
+
+
+def _print_analysis(args: argparse.Namespace, result) -> None:
+    """One analysis result: the schema document (--json) or the text report."""
+    if args.json:
+        from repro.patterns.schema import analysis_to_dict
+
+        _print_doc(args, analysis_to_dict(result))
+    else:
+        print(analysis_report(result, include_source=not args.no_source,
+                              include_trace=not args.no_trace))
+
+
+def _table3_text(docs: list, title: str) -> str:
+    """Table III from outcome documents; a failed program is a row of dashes."""
+    from repro.reporting.tables import format_table
+
+    headers = ["Application", "Suite", "LOC", "Hotspot %", "Speedup", "Threads",
+               "Detected Pattern"]
+    rows = [
+        [doc.get("name")] + [None] * 6
+        if doc.get("failed")
+        else [doc["name"], doc["suite"], doc["loc"], 100 * doc["primary_share"],
+              doc["best_speedup"], doc["best_threads"], doc["label"]]
+        for doc in docs
+    ]
+    return format_table(headers, rows, title=title)
+
+
+# -- inputs ----------------------------------------------------------------
 
 class _OrderedArg(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
@@ -84,17 +141,13 @@ class _OrderedArg(argparse.Action):
         items.append((self.dest, values))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    source = open(args.file).read()
-    call_args = _collect_args(args)
-    result = analyze_source(
-        source,
-        entry=args.entry,
-        arg_sets=[call_args],
-        hotspot_threshold=args.threshold,
-    )
-    _print_analysis(args, result)
-    return 0
+def _read_source(args: argparse.Namespace) -> str:
+    """The MiniC source FILE; an unreadable one fails the command."""
+    try:
+        with open(args.file) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CommandError(f"cannot read {args.file!r}: {exc.strerror or exc}") from None
 
 
 def _arg_specs(args: argparse.Namespace) -> list[tuple[str, str]]:
@@ -109,12 +162,36 @@ def _collect_args(args: argparse.Namespace) -> list:
 
 
 def _make_cache(args: argparse.Namespace):
-    from repro.profiling.cache import ProfileCache, default_cache_root
+    """The profile cache --cache-dir/--no-cache select (None: no cache)."""
+    from repro.profiling.cache import ProfileCache
 
-    if getattr(args, "no_cache", False):
+    if args.no_cache:
         return None
-    root = getattr(args, "cache_dir", None)
-    return ProfileCache(root=root if root else default_cache_root())
+    return ProfileCache(root=args.cache_dir) if args.cache_dir else ProfileCache()
+
+
+def _load_corpus(directory: str, register: bool = False):
+    """The corpus at *directory*; with *register* its programs also become
+    registry benchmarks.  An unreadable corpus fails the command."""
+    from repro.corpus import load_corpus, register_corpus
+
+    try:
+        return (register_corpus if register else load_corpus)(directory)
+    except (OSError, ValueError, KeyError) as exc:
+        raise CommandError(f"cannot load corpus {directory!r}: {exc}") from None
+
+
+# -- the pipeline ------------------------------------------------------------
+
+def _cmd_analyze(args: argparse.Namespace) -> int:
+    result = analyze_source(
+        _read_source(args),
+        entry=args.entry,
+        arg_sets=[_collect_args(args)],
+        hotspot_threshold=args.threshold,
+    )
+    _print_analysis(args, result)
+    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -122,26 +199,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.api import compile_source
     from repro.profiling import save_profile
     from repro.profiling.cache import cached_profile_runs
-    from repro.profiling.runner import profile_runs
 
-    source = open(args.file).read()
-    program = compile_source(source)
-    cache = _make_cache(args)
-    if cache is not None:
-        profile, hit = cached_profile_runs(
-            program, args.entry, [_collect_args(args)], cache=cache,
-            engine=args.engine,
-        )
-        origin = "cache hit" if hit else "instrumented run"
-    else:
-        profile = profile_runs(
-            program, args.entry, [_collect_args(args)], engine=args.engine
-        )
-        origin = "instrumented run"
+    program = compile_source(_read_source(args))
+    profile, hit = cached_profile_runs(
+        program, args.entry, [_collect_args(args)], cache=_make_cache(args),
+        engine=args.engine,
+    )
     with open(args.output, "w") as fh:
         save_profile(profile, fh)
     print(
-        f"profile written to {args.output} ({origin}): "
+        f"profile written to {args.output} "
+        f"({'cache hit' if hit else 'instrumented run'}): "
         f"{profile.total_cost} instructions, "
         f"{len(profile.deps)} dependence records"
     )
@@ -153,32 +221,26 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     With ``--profile`` the given dump is used as-is.  Without it, the
     content-addressed cache supplies the profile for (source, inputs,
-    config); only on a cache miss is the program re-interpreted.
+    config); only on a cache miss (or with ``--no-cache``) is the program
+    re-interpreted.
     """
     from repro.api import compile_source
     from repro.patterns.engine import analyze_profile
     from repro.profiling import load_profile
     from repro.profiling.cache import cached_profile_runs
 
-    source = open(args.file).read()
-    program = compile_source(source)
+    program = compile_source(_read_source(args))
     if args.profile:
         with open(args.profile) as fh:
             profile = load_profile(fh)
     else:
         if args.entry is None:
-            print(
-                "detect: --entry (plus any --scalar/--zeros/--rand inputs) is "
-                "required when no --profile file is given",
-                file=sys.stderr,
+            raise CommandError(
+                "--entry (plus any --scalar/--zeros/--rand inputs) is "
+                "required when no --profile file is given"
             )
-            return 2
-        cache = _make_cache(args)
-        if cache is None:
-            print("detect: --no-cache requires --profile", file=sys.stderr)
-            return 2
         profile, hit = cached_profile_runs(
-            program, args.entry, [_collect_args(args)], cache=cache,
+            program, args.entry, [_collect_args(args)], cache=_make_cache(args),
             engine=args.engine,
         )
         # Keep stdout pure JSON in --json mode; the provenance note is advisory.
@@ -306,53 +368,37 @@ def _cmd_bench_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_failure(args: argparse.Namespace, failure) -> int:
-    """Render a structured bench failure record (text or --json) and fail."""
-    if args.json:
-        doc = failure.to_dict()
-        if args.compact:
-            from repro.profiling.serialize import canonical_json
-
-            print(canonical_json(doc))
-        else:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        return 1
-    print(
-        f"bench: analysis of {failure.name!r} FAILED after "
-        f"{failure.attempts} attempt(s): {failure.error_type}: {failure.message}",
-        file=sys.stderr,
-    )
-    print(f"bench:   at {failure.traceback_summary}", file=sys.stderr)
-    return 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
+    """One registered benchmark, under the sweep's fault policy."""
     from repro.bench_programs import analyze_benchmark, get_benchmark
-    from repro.runtime.parallel import call_with_timeout, failure_record
+    from repro.runtime.parallel import FailedOutcome, run_one
     from repro.sim import plan_and_simulate
 
     if args.smoke:
         return _cmd_bench_smoke(args)
     if args.name is None:
-        print("bench: a benchmark name is required (or use --smoke)", file=sys.stderr)
-        return 2
-    retries = max(0, args.retries)
-    for attempt in range(1, retries + 2):
-        try:
-            spec = get_benchmark(args.name)
-            result = call_with_timeout(
-                lambda name, _cache: analyze_benchmark(name, engine=args.engine),
-                args.name, None, args.timeout,
+        raise CommandError("a benchmark name is required (or use --smoke)")
+    got = run_one(
+        args.name, timeout=args.timeout, retries=args.retries,
+        analyze_fn=lambda name, _cache_dir: (
+            get_benchmark(name), analyze_benchmark(name, engine=args.engine)
+        ),
+    )
+    if isinstance(got, FailedOutcome):
+        if args.json:
+            _print_doc(args, got.to_dict())
+        else:
+            print(
+                f"bench: analysis of {got.name!r} FAILED after "
+                f"{got.attempts} attempt(s): {got.error_type}: {got.message}",
+                file=sys.stderr,
             )
-            break
-        except Exception as exc:
-            if attempt <= retries:
-                continue
-            return _bench_failure(args, failure_record(args.name, exc, attempt))
+            print(f"bench:   at {got.traceback_summary}", file=sys.stderr)
+        return 1
+    spec, result = got
     outcome = plan_and_simulate(result)
     if args.json:
         from repro.patterns.schema import analysis_to_dict
-        from repro.profiling.serialize import canonical_json
 
         doc = analysis_to_dict(result)
         # Extension block: loaders ignore unknown top-level keys, so the
@@ -363,10 +409,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "paper_speedup": spec.paper.speedup,
             "paper_threads": spec.paper.threads,
         }
-        if args.compact:
-            print(canonical_json(doc))
-        else:
-            print(json.dumps(doc, indent=2, sort_keys=True))
+        _print_doc(args, doc)
         return 0
     print(analysis_report(result, include_source=not args.no_source))
     print(
@@ -380,29 +423,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     from repro.bench_programs import all_benchmarks
 
-    if getattr(args, "json", False):
-        # Machine-readable catalog: the names are what the service's
-        # submit-by-name endpoint and `repro submit --bench` accept.
-        docs = [
-            {
-                "name": spec.name,
-                "suite": spec.suite,
-                "entry": spec.entry,
-                "loc": spec.loc,
-                "paper_pattern": spec.paper.pattern,
-                "expected_label": spec.expected_label,
-            }
-            for spec in all_benchmarks()
-        ]
-        if getattr(args, "compact", False):
-            from repro.profiling.serialize import canonical_json
-
-            print(canonical_json(docs))
-        else:
-            print(json.dumps(docs, indent=2, sort_keys=True))
-        return 0
-    for spec in all_benchmarks():
-        print(f"{spec.name:16s} {spec.suite:10s} {spec.paper.pattern}")
+    specs = all_benchmarks()
+    # Machine-readable catalog: the names are what the service's
+    # submit-by-name endpoint and `repro submit --bench` accept.
+    docs = [
+        {
+            "name": spec.name,
+            "suite": spec.suite,
+            "entry": spec.entry,
+            "loc": spec.loc,
+            "paper_pattern": spec.paper.pattern,
+            "expected_label": spec.expected_label,
+        }
+        for spec in specs
+    ]
+    _emit(args, docs, lambda _: "\n".join(
+        f"{spec.name:16s} {spec.suite:10s} {spec.paper.pattern}" for spec in specs
+    ))
     return 0
 
 
@@ -419,8 +456,7 @@ def _failure_footer(failures, total: int) -> str:
 
 
 def _cmd_table3(args: argparse.Namespace) -> int:
-    from repro.reporting.tables import format_table
-    from repro.runtime.parallel import FailedOutcome, analyze_registry
+    from repro.runtime.parallel import analyze_registry
 
     outcomes = analyze_registry(
         max_workers=args.jobs,
@@ -431,54 +467,29 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         fail_fast=not args.keep_going,
         engine=args.engine,
     )
-    failures = [o for o in outcomes if isinstance(o, FailedOutcome)]
+    failures = [o for o in outcomes if not o.ok]
+    footer = "\n" + _failure_footer(failures, len(outcomes)) if failures else ""
+    _emit(args, [o.to_dict() for o in outcomes],
+          lambda docs: _table3_text(docs, "Table III (reproduced)") + footer)
     # --keep-going (default) reports partial results and exits 0; --fail-fast
     # stops at the first exhausted failure and makes the run exit non-zero.
-    exit_code = 1 if failures and not args.keep_going else 0
-    if args.json:
-        from repro.profiling.serialize import canonical_json
-
-        docs = [o.to_dict() for o in outcomes]
-        if args.compact:
-            print(canonical_json(docs))
-        else:
-            print(json.dumps(docs, indent=2, sort_keys=True))
-        return exit_code
-    rows = [
-        [o.name, None, None, None, None, None, None]
-        if isinstance(o, FailedOutcome)
-        else [
-            o.name,
-            o.suite,
-            o.loc,
-            100 * o.primary_share,
-            o.best_speedup,
-            o.best_threads,
-            o.label,
-        ]
-        for o in outcomes
-    ]
-    print(
-        format_table(
-            ["Application", "Suite", "LOC", "Hotspot %", "Speedup", "Threads", "Detected Pattern"],
-            rows,
-            title="Table III (reproduced)",
-        )
-    )
-    if failures:
-        print(_failure_footer(failures, len(outcomes)))
-    return exit_code
+    return 1 if failures and not args.keep_going else 0
 
 
-def _print_doc(args: argparse.Namespace, doc) -> None:
-    """Emit a JSON document per the --json/--compact flags (always JSON)."""
-    if getattr(args, "compact", False):
-        from repro.profiling.serialize import canonical_json
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.reporting.experiments import generate_experiment_report
 
-        print(canonical_json(doc))
+    report = generate_experiment_report()
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(report)
+        print(f"report written to {args.output}")
     else:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(report)
+    return 0
 
+
+# -- service commands ----------------------------------------------------
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the analysis daemon until interrupted (SIGINT exits cleanly)."""
@@ -486,9 +497,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     corpus_note = ""
     for directory in args.corpus or ():
-        suite, code = _register_cli_corpus("serve", directory)
-        if suite is None:
-            return code
+        suite = _load_corpus(directory, register=True)
         corpus_note += f", corpus {suite.name} ({len(suite.entries)} programs)"
     service = AnalysisService(
         host=args.host,
@@ -542,30 +551,23 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             record = client.submit_sweep()
         elif args.file:
             if not args.entry:
-                print("submit: --entry is required with a source file", file=sys.stderr)
-                return 2
+                raise CommandError("--entry is required with a source file")
             record = client.submit_source(
-                open(args.file).read(),
+                _read_source(args),
                 entry=args.entry,
                 args=_arg_specs(args),
                 seed=args.seed,
                 threshold=args.threshold,
             )
         else:
-            print("submit: give a source FILE, --bench NAME, or --sweep", file=sys.stderr)
-            return 2
+            raise CommandError("give a source FILE, --bench NAME, or --sweep")
         if args.wait:
             record = client.wait(record["id"], timeout=args.wait_timeout)
     except ServiceError as exc:
-        print(f"submit: {exc}", file=sys.stderr)
-        return 1
+        raise CommandError(str(exc), 1) from None
     except OSError as exc:
-        print(f"submit: cannot reach {client.url}: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _print_doc(args, record)
-    else:
-        print(_job_summary_line(record))
+        raise CommandError(f"cannot reach {client.url}: {exc}", 1) from None
+    _emit(args, record, _job_summary_line)
     return 1 if record["state"] == "failed" else 0
 
 
@@ -576,16 +578,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     try:
         records = client.jobs(state=args.state, kind=args.kind, limit=args.limit)
     except (ServiceError, OSError) as exc:
-        print(f"jobs: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _print_doc(args, records)
-        return 0
-    if not records:
-        print("no jobs")
-        return 0
-    for record in records:
-        print(_job_summary_line(record))
+        raise CommandError(str(exc), 1) from None
+    _emit(args, records,
+          lambda docs: "\n".join(map(_job_summary_line, docs)) or "no jobs")
     return 0
 
 
@@ -596,32 +591,34 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     try:
         text = client.metrics()
     except (ServiceError, OSError) as exc:
-        print(f"metrics: {exc}", file=sys.stderr)
-        return 1
+        raise CommandError(str(exc), 1) from None
     print(text, end="" if text.endswith("\n") else "\n")
     return 0
 
 
-def _render_result_record(record: dict) -> None:
+def _result_text(record: dict) -> str:
     """Human-readable rendering of a terminal job record."""
-    print(_job_summary_line(record))
+    lines = [_job_summary_line(record)]
     error = record.get("error")
-    if error:
-        print(f"  after {error.get('attempts')} attempt(s) at {error.get('traceback_summary')}")
-        return
     result = record.get("result")
-    if record["kind"] == "source" and result:
+    if error:
+        lines.append(
+            f"  after {error.get('attempts')} attempt(s) at "
+            f"{error.get('traceback_summary')}"
+        )
+    elif record["kind"] == "source" and result:
         from repro.patterns.schema import analysis_from_dict
 
-        print(analysis_report(analysis_from_dict(result), include_source=False))
+        lines.append(analysis_report(analysis_from_dict(result), include_source=False))
     elif record["kind"] == "bench" and result:
-        print(
+        lines.append(
             f"  {result['name']}: {result['label']} "
             f"({result['best_speedup']:.2f}x at {result['best_threads']} threads)"
         )
     elif record["kind"] == "sweep" and result:
         failed = record.get("info", {}).get("failed", 0)
-        print(f"  {len(result)} program(s), {failed} failed")
+        lines.append(f"  {len(result)} program(s), {failed} failed")
+    return "\n".join(lines)
 
 
 def _cmd_result(args: argparse.Namespace) -> int:
@@ -634,125 +631,58 @@ def _cmd_result(args: argparse.Namespace) -> int:
         else:
             record = client.job(args.id)
     except TimeoutError as exc:
-        print(f"result: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(str(exc), 2) from None
     except (ServiceError, OSError) as exc:
-        print(f"result: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        _print_doc(args, record)
-    else:
-        _render_result_record(record)
+        raise CommandError(str(exc), 1) from None
+    _emit(args, record, _result_text)
     if record["state"] == "done":
         return 0
     return 1 if record["state"] in ("failed", "cancelled") else 2
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.reporting.experiments import generate_experiment_report
-
-    report = generate_experiment_report()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(report)
-        print(f"report written to {args.output}")
-    else:
-        print(report)
-    return 0
-
-
-# -- corpus commands -----------------------------------------------------
+# -- corpus and learn commands -------------------------------------------
 
 def _cmd_corpus_generate(args: argparse.Namespace) -> int:
     from repro.corpus import generate_corpus
 
     if args.count < 1:
-        print("corpus generate: --count must be >= 1", file=sys.stderr)
-        return 2
+        raise CommandError("--count must be >= 1")
     manifest = generate_corpus(
         args.count, args.seed, args.out, name=args.name,
         adversarial=args.adversarial,
     )
-    if args.json:
-        _print_doc(args, manifest)
-    else:
-        print(
-            f"corpus {manifest['name']!r}: {manifest['count']} program(s) "
-            f"written to {args.out} "
-            f"(digest {manifest['corpus_digest'][:12]})"
-        )
+    _emit(args, manifest, lambda doc: (
+        f"corpus {doc['name']!r}: {doc['count']} program(s) "
+        f"written to {args.out} (digest {doc['corpus_digest'][:12]})"
+    ))
     return 0
 
 
 def _cmd_corpus_score(args: argparse.Namespace) -> int:
-    from repro.corpus import load_corpus, score_entries, score_csv, score_table
+    from repro.corpus import score_csv, score_entries, score_table
 
-    try:
-        suite = load_corpus(args.dir)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"corpus score: cannot load {args.dir!r}: {exc}", file=sys.stderr)
-        return 2
-    score = score_entries(suite, cache=_make_cache(args), engine=args.engine)
-    if args.json:
-        _print_doc(args, score)
-    elif args.csv:
-        print(score_csv(score), end="")
-    else:
-        print(score_table(score))
+    score = score_entries(
+        _load_corpus(args.dir), cache=_make_cache(args), engine=args.engine
+    )
+    _emit(args, score, score_table, csv=score_csv)
     return 1 if score["mismatches"] else 0
-
-
-def _register_cli_corpus(command: str, directory: str):
-    """Load + register a corpus directory for a CLI run; exits via the
-    returned code on failure (None on success)."""
-    from repro.corpus import register_corpus
-
-    try:
-        return register_corpus(directory), None
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"{command}: cannot load corpus {directory!r}: {exc}", file=sys.stderr)
-        return None, 2
-
-
-# -- learn commands ------------------------------------------------------
-
-def _load_corpus_or_fail(command: str, directory: str):
-    """Shared corpus loader for the learn commands: (suite, exit_code)."""
-    from repro.corpus import load_corpus
-
-    try:
-        return load_corpus(directory), None
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"{command}: cannot load corpus {directory!r}: {exc}",
-              file=sys.stderr)
-        return None, 2
 
 
 def _cmd_learn_features(args: argparse.Namespace) -> int:
     from repro.learn import corpus_features, features_csv, features_table
 
-    suite, code = _load_corpus_or_fail("learn features", args.dir)
-    if suite is None:
-        return code
     doc = corpus_features(
-        suite, cache=_make_cache(args), engine=args.engine,
+        _load_corpus(args.dir), cache=_make_cache(args), engine=args.engine,
         parallel=args.parallel,
     )
-    if args.json:
-        _print_doc(args, doc)
-    elif args.csv:
-        print(features_csv(doc), end="")
-    else:
-        print(features_table(doc))
+    _emit(args, doc, features_table, csv=features_csv)
     return 0
 
 
 def _cmd_learn_train(args: argparse.Namespace) -> int:
     from repro.learn import train_on_corpus
 
-    suite, code = _load_corpus_or_fail("learn train", args.dir)
-    if suite is None:
-        return code
+    suite = _load_corpus(args.dir)
     try:
         model = train_on_corpus(
             suite, kind=args.model, seed=args.seed, holdout=args.holdout,
@@ -760,28 +690,22 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
             parallel=args.parallel,
         )
     except ValueError as exc:
-        print(f"learn train: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(str(exc)) from None
     if args.out:
         model.save(args.out)
-    if args.json:
-        _print_doc(args, model.doc)
-    else:
-        where = f" -> {args.out}" if args.out else ""
-        print(
-            f"trained {model.kind} on {suite.name!r} "
-            f"({model.doc['examples']} program(s), seed {args.seed}); "
-            f"digest {model.model_digest[:12]}{where}"
-        )
+    _emit(args, model.doc, lambda doc: (
+        f"trained {model.kind} on {suite.name!r} "
+        f"({doc['examples']} program(s), seed {args.seed}); "
+        f"digest {model.model_digest[:12]}"
+        + (f" -> {args.out}" if args.out else "")
+    ))
     return 0
 
 
 def _cmd_learn_eval(args: argparse.Namespace) -> int:
     from repro.learn import comparison_csv, comparison_table, evaluate_corpus
 
-    suite, code = _load_corpus_or_fail("learn eval", args.dir)
-    if suite is None:
-        return code
+    suite = _load_corpus(args.dir)
     try:
         doc = evaluate_corpus(
             suite, kind=args.model, seed=args.seed, holdout=args.holdout,
@@ -789,14 +713,8 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
             parallel=args.parallel,
         )
     except ValueError as exc:
-        print(f"learn eval: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        _print_doc(args, doc)
-    elif args.csv:
-        print(comparison_csv(doc), end="")
-    else:
-        print(comparison_table(doc))
+        raise CommandError(str(exc)) from None
+    _emit(args, doc, comparison_table, csv=comparison_csv)
     return 0
 
 
@@ -821,22 +739,19 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignStore, run_campaign
     from repro.service.client import ServiceClient, ServiceError
 
-    if getattr(args, "corpus", None):
+    if args.corpus:
         # A corpus directory is a grid-axis source: its programs become
         # registry benchmarks (exported via REPRO_CORPUS_PATH so the
         # daemon's worker processes resolve them too), and when no
         # --programs subset is named the grid is the corpus itself rather
         # than the whole registry.
-        suite, code = _register_cli_corpus("campaign run", args.corpus)
-        if suite is None:
-            return code
+        suite = _load_corpus(args.corpus, register=True)
         if not args.programs:
             args.programs = suite.names()
     try:
         cells = _campaign_cells(args)
     except ValueError as exc:
-        print(f"campaign run: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(str(exc)) from None
     store = CampaignStore(args.db)
     service = None
     try:
@@ -854,8 +769,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         try:
             client.wait_healthy(timeout=30.0)
         except (ServiceError, OSError) as exc:
-            print(f"campaign run: cannot reach {client.url}: {exc}", file=sys.stderr)
-            return 1
+            raise CommandError(f"cannot reach {client.url}: {exc}", 1) from None
         summary = run_campaign(
             store, client, args.name, cells, timeout=args.timeout
         )
@@ -863,16 +777,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         store.close()
         if service is not None:
             service.shutdown()
-    if args.json:
-        _print_doc(args, summary)
-    else:
-        print(
-            f"campaign {args.name!r}: {summary['cells']} cell(s) — "
-            f"{summary['submitted']} submitted, "
-            f"{summary['reused_store']} from store, "
-            f"{summary['reused_resume']} already done, "
-            f"{summary['failed']} failed"
-        )
+    _emit(args, summary, lambda doc: (
+        f"campaign {args.name!r}: {doc['cells']} cell(s) — "
+        f"{doc['submitted']} submitted, "
+        f"{doc['reused_store']} from store, "
+        f"{doc['reused_resume']} already done, "
+        f"{doc['failed']} failed"
+    ))
     return 1 if summary["failed"] else 0
 
 
@@ -881,20 +792,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
     store = CampaignStore(args.db)
     try:
-        if args.name:
-            docs = [store.status(args.name)]
-        else:
-            docs = store.campaigns()
+        docs = [store.status(args.name)] if args.name else store.campaigns()
     finally:
         store.close()
     if args.json:
-        _print_doc(args, docs if args.name is None else docs[0])
+        _print_doc(args, docs[0] if args.name else docs)
         return 0
-    if not docs or docs == [{"campaign": args.name, "cells": 0,
-                             "states": {"pending": 0, "done": 0, "failed": 0},
-                             "complete": False}]:
-        print("no campaigns recorded" if not args.name
-              else f"campaign {args.name!r} not found")
+    # an unknown name reads back as a campaign with no cells
+    docs = [status for status in docs if status["cells"]]
+    if not docs:
+        print(f"campaign {args.name!r} not found" if args.name
+              else "no campaigns recorded")
         return 1 if args.name else 0
     for status in docs:
         states = status["states"]
@@ -908,45 +816,27 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_query(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignStore
-    from repro.campaign.query import (
-        baseline_deltas,
-        deltas_table,
-        group_records,
-        groups_table,
-        query_records,
-        records_table,
-        records_to_csv,
-        table3_docs,
-    )
+    from repro.campaign import CampaignStore, query
 
     store = CampaignStore(args.db)
     try:
+        for flag in ("table3", "baseline"):
+            if getattr(args, flag) and not args.name:
+                raise CommandError(f"--{flag} requires --name")
         if args.table3:
-            if not args.name:
-                print("campaign query: --table3 requires --name", file=sys.stderr)
-                return 2
             try:
-                docs = table3_docs(store, args.name)
+                docs = query.table3_docs(store, args.name)
             except ValueError as exc:
-                print(f"campaign query: {exc}", file=sys.stderr)
-                return 1
-            if args.json:
-                _print_doc(args, docs)
-            else:
-                print(_table3_text(docs))
+                raise CommandError(str(exc), 1) from None
+            _emit(args, docs,
+                  lambda d: _table3_text(d, "Table III (from stored campaign)"))
             return 0
         if args.baseline:
-            if not args.name:
-                print("campaign query: --baseline requires --name", file=sys.stderr)
-                return 2
-            rows = baseline_deltas(store, args.name, args.baseline)
-            if args.json:
-                _print_doc(args, rows)
-            else:
-                print(deltas_table(rows, args.name, args.baseline))
+            rows = query.baseline_deltas(store, args.name, args.baseline)
+            _emit(args, rows,
+                  lambda d: query.deltas_table(d, args.name, args.baseline))
             return 0
-        records = query_records(
+        records = query.query_records(
             store,
             campaign=args.name,
             program=args.program,
@@ -954,484 +844,409 @@ def _cmd_campaign_query(args: argparse.Namespace) -> int:
             scale=args.scale,
             threshold=args.threshold,
         )
-        if args.group_by:
-            try:
-                groups = group_records(records, args.group_by)
-            except ValueError as exc:
-                print(f"campaign query: {exc}", file=sys.stderr)
-                return 2
-            if args.json:
-                _print_doc(args, groups)
-            elif args.csv:
-                print(_groups_csv(groups, args.group_by), end="")
-            else:
-                print(groups_table(groups, args.group_by))
+        if not args.group_by:
+            _emit(args, records, query.records_table, csv=query.records_to_csv)
             return 0
-        if args.csv:
-            print(records_to_csv(records), end="")
-        elif args.json:
-            _print_doc(args, records)
-        else:
-            print(records_table(records))
+        try:
+            groups = query.group_records(records, args.group_by)
+        except ValueError as exc:
+            raise CommandError(str(exc)) from None
+        _emit(args, groups,
+              lambda d: query.groups_table(d, args.group_by),
+              csv=lambda d: query.groups_to_csv(d, args.group_by))
         return 0
     finally:
         store.close()
 
 
-def _table3_text(docs: list) -> str:
-    """Render stored Table III documents with the live command's table."""
-    from repro.reporting.tables import format_table
+# -- the parser ------------------------------------------------------------
+#
+# A flag group is declared once and shared only by the commands where it
+# means the same thing.  ``--cache-dir`` means three things, so the
+# commands whose meaning differs from _add_cache_flags declare their own:
+# unset is "no cache" for ``table3``, "a fresh temp dir" for
+# ``bench --smoke``, and the daemon's default for ``serve``/``campaign run``.
 
-    rows = [
-        [doc.get("name"), None, None, None, None, None, None]
-        if doc.get("failed")
-        else [
-            doc["name"],
-            doc["suite"],
-            doc["loc"],
-            100 * doc["primary_share"],
-            doc["best_speedup"],
-            doc["best_threads"],
-            doc["label"],
-        ]
-        for doc in docs
-    ]
-    return format_table(
-        ["Application", "Suite", "LOC", "Hotspot %", "Speedup", "Threads",
-         "Detected Pattern"],
-        rows,
-        title="Table III (from stored campaign)",
-    )
+def _add_inputs(p: argparse.ArgumentParser) -> None:
+    """The entry function's arguments, consumed left to right."""
+    for flag in ("--scalar", "--zeros", "--rand"):
+        p.add_argument(flag, action=_OrderedArg)
+    p.add_argument("--seed", type=int, default=0)
 
 
-def _groups_csv(groups: list, keys: list) -> str:
-    import csv
-    import io as _io
-
-    buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    fields = list(keys) + ["cells", "done", "geomean_speedup", "max_speedup"]
-    writer.writerow(fields)
-    for group in groups:
-        writer.writerow(["" if group.get(f) is None else group.get(f) for f in fields])
-    return buffer.getvalue()
+def _add_cache_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache-dir", default=None,
+                   help="profile cache directory (default: "
+                        "$REPRO_PROFILE_CACHE or ~/.cache/repro/profiles)")
+    p.add_argument("--no-cache", action="store_true",
+                   help="always re-run the instrumented engine")
 
 
-def _add_engine_flag(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("--engine", choices=["compiled", "tree"],
-                            default="compiled",
-                            help="execution engine for instrumented runs: "
-                                 "compiled closures (default) or the tree-"
-                                 "walking reference interpreter; profiles "
-                                 "are identical either way")
+def _add_report_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--no-source", action="store_true")
+    p.add_argument("--no-trace", action="store_true",
+                   help="omit the detection trace from the text report")
 
 
-def _add_json_flags(sub_parser: argparse.ArgumentParser) -> None:
-    sub_parser.add_argument("--json", action="store_true",
-                            help="emit the versioned analysis schema as JSON")
-    sub_parser.add_argument("--compact", action="store_true",
-                            help="with --json: one canonical line instead of "
-                                 "pretty-printed output")
+def _add_fault_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--timeout", type=float, default=None,
+                   help="per-attempt analysis timeout in seconds")
+    p.add_argument("--retries", type=int, default=0,
+                   help="re-run a failing analysis up to N extra times "
+                        "(exponential backoff)")
 
 
-def _add_service_url(sub_parser: argparse.ArgumentParser) -> None:
+def _add_wait_flags(p: argparse.ArgumentParser, help: str) -> None:
+    p.add_argument("--wait", action="store_true", help=help)
+    p.add_argument("--wait-timeout", type=float, default=300.0)
+
+
+def _add_engine_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--engine", choices=["compiled", "tree"], default="compiled",
+                   help="execution engine for instrumented runs: compiled "
+                        "closures (default) or the tree-walking reference "
+                        "interpreter; profiles are identical either way")
+
+
+def _add_json_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true",
+                   help="emit the versioned analysis schema as JSON")
+    p.add_argument("--compact", action="store_true",
+                   help="with --json: one canonical line instead of "
+                        "pretty-printed output")
+
+
+def _add_service_url(p: argparse.ArgumentParser) -> None:
     from repro.service.client import default_service_url
 
-    sub_parser.add_argument("--url", default=default_service_url(),
-                            help="daemon address (default: $REPRO_SERVICE_URL "
-                                 "or http://127.0.0.1:8765)")
+    p.add_argument("--url", default=default_service_url(),
+                   help="daemon address (default: $REPRO_SERVICE_URL "
+                        "or http://127.0.0.1:8765)")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _add_campaign_db(p: argparse.ArgumentParser) -> None:
+    """The campaign results database, then the JSON output flags."""
+    from repro.campaign.store import default_campaign_db
+
+    p.add_argument("--db", default=str(default_campaign_db()), metavar="PATH",
+                   help="campaign results database (default: $REPRO_CAMPAIGN_DB "
+                        "or ~/.cache/repro/campaigns.sqlite)")
+    _add_json_flags(p)
+
+
+def _add_corpus_dir(p: argparse.ArgumentParser) -> None:
+    p.add_argument("dir", metavar="DIR", help="corpus directory")
+    _add_cache_flags(p)
+
+
+def _add_learn_common(p: argparse.ArgumentParser) -> None:
+    _add_corpus_dir(p)
+    p.add_argument("--parallel", action="store_true",
+                   help="extract features with a process pool "
+                        "(output is byte-identical to serial)")
+    _add_engine_flag(p)
+    _add_json_flags(p)
+
+
+def _add_learn_model_flags(p: argparse.ArgumentParser, default_holdout: float) -> None:
+    from repro.learn import MODEL_KINDS
+
+    p.add_argument("--model", choices=list(MODEL_KINDS), default="logistic",
+                   help="classifier family (default: logistic)")
+    p.add_argument("--seed", type=int, default=7,
+                   help="split/training seed (default: 7)")
+    p.add_argument("--holdout", type=float, default=default_holdout,
+                   help="fraction of the corpus held out of "
+                        f"training (default: {default_holdout})")
+
+
+def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.campaign.grid import MACHINE_MODELS
 
     parser = argparse.ArgumentParser(prog="repro-patterns")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="analyze a MiniC source file")
-    p_analyze.add_argument("file")
-    p_analyze.add_argument("--entry", required=True)
-    p_analyze.add_argument("--scalar", action=_OrderedArg, dest="scalar")
-    p_analyze.add_argument("--zeros", action=_OrderedArg, dest="zeros")
-    p_analyze.add_argument("--rand", action=_OrderedArg, dest="rand")
-    p_analyze.add_argument("--seed", type=int, default=0)
-    p_analyze.add_argument("--threshold", type=float, default=0.10)
-    p_analyze.add_argument("--no-source", action="store_true")
-    p_analyze.add_argument("--no-trace", action="store_true",
-                           help="omit the detection trace from the text report")
-    _add_json_flags(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
+    def command(group, name: str, func, help: str) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p_profile = sub.add_parser(
-        "profile", help="phase 1: instrumented run, write a profile file"
-    )
-    p_profile.add_argument("file")
-    p_profile.add_argument("--entry", required=True)
-    p_profile.add_argument("--output", "-o", required=True)
-    p_profile.add_argument("--scalar", action=_OrderedArg, dest="scalar")
-    p_profile.add_argument("--zeros", action=_OrderedArg, dest="zeros")
-    p_profile.add_argument("--rand", action=_OrderedArg, dest="rand")
-    p_profile.add_argument("--seed", type=int, default=0)
-    p_profile.add_argument("--cache-dir", default=None,
-                           help="profile cache directory (default: "
-                                "$REPRO_PROFILE_CACHE or ~/.cache/repro/profiles)")
-    p_profile.add_argument("--no-cache", action="store_true",
-                           help="always re-run the instrumented engine")
-    _add_engine_flag(p_profile)
-    p_profile.set_defaults(func=_cmd_profile)
+    p = command(sub, "analyze", _cmd_analyze, "analyze a MiniC source file")
+    p.add_argument("file")
+    p.add_argument("--entry", required=True)
+    _add_inputs(p)
+    p.add_argument("--threshold", type=float, default=0.10)
+    _add_report_flags(p)
+    _add_json_flags(p)
 
-    p_detect = sub.add_parser(
-        "detect", help="phase 2: run pattern detection over a saved or cached profile"
-    )
-    p_detect.add_argument("file")
-    p_detect.add_argument("--profile", default=None,
-                          help="profile dump from `profile -o`; omit to use "
-                               "the content-addressed cache")
-    p_detect.add_argument("--entry", default=None,
-                          help="entry function (cached mode, no --profile)")
-    p_detect.add_argument("--scalar", action=_OrderedArg, dest="scalar")
-    p_detect.add_argument("--zeros", action=_OrderedArg, dest="zeros")
-    p_detect.add_argument("--rand", action=_OrderedArg, dest="rand")
-    p_detect.add_argument("--seed", type=int, default=0)
-    p_detect.add_argument("--cache-dir", default=None)
-    p_detect.add_argument("--no-cache", action="store_true")
-    p_detect.add_argument("--threshold", type=float, default=0.10)
-    p_detect.add_argument("--no-source", action="store_true")
-    p_detect.add_argument("--no-trace", action="store_true",
-                          help="omit the detection trace from the text report")
-    _add_engine_flag(p_detect)
-    _add_json_flags(p_detect)
-    p_detect.set_defaults(func=_cmd_detect)
+    p = command(sub, "profile", _cmd_profile,
+                "phase 1: instrumented run, write a profile file")
+    p.add_argument("file")
+    p.add_argument("--entry", required=True)
+    p.add_argument("--output", "-o", required=True)
+    _add_inputs(p)
+    _add_cache_flags(p)
+    _add_engine_flag(p)
 
-    p_bench = sub.add_parser("bench", help="analyze a registered benchmark")
-    p_bench.add_argument("name", nargs="?", default=None)
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="fast perf smoke check: one small program through "
-                              "the uncached and cached paths")
-    p_bench.add_argument("--cache-dir", default=None,
-                         help="cache directory for --smoke (default: fresh temp dir)")
-    p_bench.add_argument("--no-source", action="store_true")
-    p_bench.add_argument("--timeout", type=float, default=None,
-                         help="per-attempt analysis timeout in seconds")
-    p_bench.add_argument("--retries", type=int, default=0,
-                         help="re-run a failing analysis up to N extra times")
-    p_bench.add_argument("--baseline", default=None, metavar="PATH",
-                         help="with --smoke: committed BENCH_pipeline.json to "
-                              "gate the cold serial sweep against (fails on a "
-                              ">25%% regression)")
-    _add_engine_flag(p_bench)
-    _add_json_flags(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
+    p = command(sub, "detect", _cmd_detect,
+                "phase 2: run pattern detection over a saved or cached profile")
+    p.add_argument("file")
+    p.add_argument("--profile", default=None,
+                   help="profile dump from `profile -o`; omit to use "
+                        "the content-addressed cache")
+    p.add_argument("--entry", default=None,
+                   help="entry function (cached mode, no --profile)")
+    _add_inputs(p)
+    _add_cache_flags(p)
+    p.add_argument("--threshold", type=float, default=0.10)
+    _add_report_flags(p)
+    _add_engine_flag(p)
+    _add_json_flags(p)
 
-    p_list = sub.add_parser("list", help="list registered benchmarks")
-    _add_json_flags(p_list)
-    p_list.set_defaults(func=_cmd_list)
+    p = command(sub, "bench", _cmd_bench, "analyze a registered benchmark")
+    p.add_argument("name", nargs="?", default=None)
+    p.add_argument("--smoke", action="store_true",
+                   help="fast perf smoke check: one small program through "
+                        "the uncached and cached paths")
+    p.add_argument("--cache-dir", default=None,
+                   help="cache directory for --smoke (default: fresh temp dir)")
+    p.add_argument("--no-source", action="store_true")
+    _add_fault_flags(p)
+    p.add_argument("--baseline", default=None, metavar="PATH",
+                   help="with --smoke: committed BENCH_pipeline.json to "
+                        "gate the cold serial sweep against (fails on a "
+                        ">25%% regression)")
+    _add_engine_flag(p)
+    _add_json_flags(p)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the long-lived analysis daemon (HTTP job queue)"
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8765,
-                         help="listen port (0 picks an ephemeral port)")
-    p_serve.add_argument("--workers", type=int, default=2,
-                         help="concurrent analysis workers")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="shared profile cache directory (default: "
-                              "$REPRO_PROFILE_CACHE or ~/.cache/repro/profiles)")
-    p_serve.add_argument("--history", type=int, default=256,
-                         help="finished jobs retained in memory")
-    p_serve.add_argument("--log-jobs", default=None, metavar="PATH",
-                         help="append every job transition to this JSONL file")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         help="default per-program timeout for sweep jobs")
-    p_serve.add_argument("--retries", type=int, default=0,
-                         help="default retry budget for submitted jobs")
-    p_serve.add_argument("--backend", choices=["thread", "process"],
-                         default="thread",
-                         help="execution backend: 'thread' runs jobs in the "
-                              "claiming worker thread (GIL-bound, no per-job "
-                              "timeouts), 'process' fans them over a process "
-                              "pool (parallel, real SIGALRM timeouts)")
-    p_serve.add_argument("--db", default=None, metavar="PATH",
-                         help="sqlite path for durable jobs: queued work is "
-                              "re-enqueued and finished results served warm "
-                              "across daemon restarts")
-    p_serve.add_argument("--max-queue", type=int, default=None,
-                         help="admission-control bound on queued jobs; a full "
-                              "queue answers 429 with a Retry-After hint")
-    p_serve.add_argument("--corpus", action="append", default=None, metavar="DIR",
-                         help="register a generated corpus directory as "
-                              "benchmarks before serving (repeatable); its "
-                              "programs become valid bench/sweep job names")
-    p_serve.set_defaults(func=_cmd_serve)
+    p = command(sub, "list", _cmd_list, "list registered benchmarks")
+    _add_json_flags(p)
 
-    p_submit = sub.add_parser(
-        "submit", help="submit a job to a running analysis daemon"
-    )
-    p_submit.add_argument("file", nargs="?", default=None,
-                          help="MiniC source file to analyze")
-    p_submit.add_argument("--entry", default=None)
-    p_submit.add_argument("--scalar", action=_OrderedArg, dest="scalar")
-    p_submit.add_argument("--zeros", action=_OrderedArg, dest="zeros")
-    p_submit.add_argument("--rand", action=_OrderedArg, dest="rand")
-    p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--threshold", type=float, default=None)
-    p_submit.add_argument("--bench", default=None, metavar="NAME",
-                          help="submit a registered benchmark instead of a file")
-    p_submit.add_argument("--sweep", action="store_true",
-                          help="submit a full registry sweep")
-    p_submit.add_argument("--wait", action="store_true",
-                          help="block until the job finishes")
-    p_submit.add_argument("--wait-timeout", type=float, default=300.0)
-    _add_service_url(p_submit)
-    _add_json_flags(p_submit)
-    p_submit.set_defaults(func=_cmd_submit)
+    p = command(sub, "serve", _cmd_serve,
+                "run the long-lived analysis daemon (HTTP job queue)")
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=8765,
+                   help="listen port (0 picks an ephemeral port)")
+    p.add_argument("--workers", type=int, default=2,
+                   help="concurrent analysis workers")
+    p.add_argument("--cache-dir", default=None,
+                   help="shared profile cache directory (default: "
+                        "$REPRO_PROFILE_CACHE or ~/.cache/repro/profiles)")
+    p.add_argument("--history", type=int, default=256,
+                   help="finished jobs retained in memory")
+    p.add_argument("--log-jobs", default=None, metavar="PATH",
+                   help="append every job transition to this JSONL file")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="default per-program timeout for sweep jobs")
+    p.add_argument("--retries", type=int, default=0,
+                   help="default retry budget for submitted jobs")
+    p.add_argument("--backend", choices=["thread", "process"], default="thread",
+                   help="execution backend: 'thread' runs jobs in the "
+                        "claiming worker thread (GIL-bound, no per-job "
+                        "timeouts), 'process' fans them over a process "
+                        "pool (parallel, real SIGALRM timeouts)")
+    p.add_argument("--db", default=None, metavar="PATH",
+                   help="sqlite path for durable jobs: queued work is "
+                        "re-enqueued and finished results served warm "
+                        "across daemon restarts")
+    p.add_argument("--max-queue", type=int, default=None,
+                   help="admission-control bound on queued jobs; a full "
+                        "queue answers 429 with a Retry-After hint")
+    p.add_argument("--corpus", action="append", default=None, metavar="DIR",
+                   help="register a generated corpus directory as "
+                        "benchmarks before serving (repeatable); its "
+                        "programs become valid bench/sweep job names")
 
-    p_jobs = sub.add_parser("jobs", help="list jobs on a running daemon")
-    p_jobs.add_argument("--state", default=None,
-                        choices=["queued", "running", "done", "failed", "cancelled"])
-    p_jobs.add_argument("--kind", default=None, choices=["source", "bench", "sweep"])
-    p_jobs.add_argument("--limit", type=int, default=None, metavar="N",
-                        help="truncate the newest-first listing to N jobs "
-                             "(0 means none)")
-    _add_service_url(p_jobs)
-    _add_json_flags(p_jobs)
-    p_jobs.set_defaults(func=_cmd_jobs)
+    p = command(sub, "submit", _cmd_submit,
+                "submit a job to a running analysis daemon")
+    p.add_argument("file", nargs="?", default=None,
+                   help="MiniC source file to analyze")
+    p.add_argument("--entry", default=None)
+    _add_inputs(p)
+    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--bench", default=None, metavar="NAME",
+                   help="submit a registered benchmark instead of a file")
+    p.add_argument("--sweep", action="store_true",
+                   help="submit a full registry sweep")
+    _add_wait_flags(p, "block until the job finishes")
+    _add_service_url(p)
+    _add_json_flags(p)
 
-    p_metrics = sub.add_parser(
-        "metrics",
-        help="print a running daemon's /v1/metrics (Prometheus text format)",
-    )
-    _add_service_url(p_metrics)
-    p_metrics.set_defaults(func=_cmd_metrics)
+    p = command(sub, "jobs", _cmd_jobs, "list jobs on a running daemon")
+    p.add_argument("--state", default=None,
+                   choices=["queued", "running", "done", "failed", "cancelled"])
+    p.add_argument("--kind", default=None, choices=["source", "bench", "sweep"])
+    p.add_argument("--limit", type=int, default=None, metavar="N",
+                   help="truncate the newest-first listing to N jobs "
+                        "(0 means none)")
+    _add_service_url(p)
+    _add_json_flags(p)
 
-    p_result = sub.add_parser(
-        "result", help="fetch one job's status and result from the daemon"
-    )
-    p_result.add_argument("id", type=int)
-    p_result.add_argument("--wait", action="store_true",
-                          help="block until the job reaches a terminal state")
-    p_result.add_argument("--wait-timeout", type=float, default=300.0)
-    _add_service_url(p_result)
-    _add_json_flags(p_result)
-    p_result.set_defaults(func=_cmd_result)
+    p = command(sub, "metrics", _cmd_metrics,
+                "print a running daemon's /v1/metrics (Prometheus text format)")
+    _add_service_url(p)
 
-    p_t3 = sub.add_parser("table3", help="regenerate the Table III summary")
-    p_t3.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=True,
-                      help="fan per-benchmark analyses over worker processes")
-    p_t3.add_argument("--jobs", "-j", type=int, default=None,
-                      help="worker process count (default: cpu count)")
-    p_t3.add_argument("--cache-dir", default=None,
-                      help="shared profile cache directory for the workers")
-    p_t3.add_argument("--timeout", type=float, default=None,
-                      help="per-program analysis timeout in seconds")
-    p_t3.add_argument("--retries", type=int, default=0,
-                      help="re-run a failing program up to N extra times "
-                           "(exponential backoff)")
-    p_t3.add_argument("--keep-going", dest="keep_going", action="store_true",
-                      default=True,
-                      help="report partial results and exit 0 when some "
-                           "programs fail (default)")
-    p_t3.add_argument("--fail-fast", dest="keep_going", action="store_false",
-                      help="stop the sweep at the first exhausted failure "
-                           "and exit non-zero")
-    _add_engine_flag(p_t3)
-    _add_json_flags(p_t3)
-    p_t3.set_defaults(func=_cmd_table3)
+    p = command(sub, "result", _cmd_result,
+                "fetch one job's status and result from the daemon")
+    p.add_argument("id", type=int)
+    _add_wait_flags(p, "block until the job reaches a terminal state")
+    _add_service_url(p)
+    _add_json_flags(p)
 
-    p_exp = sub.add_parser(
-        "experiments", help="regenerate the full markdown experiment report"
-    )
-    p_exp.add_argument("--output", "-o", default=None)
-    p_exp.set_defaults(func=_cmd_experiments)
+    p = command(sub, "table3", _cmd_table3, "regenerate the Table III summary")
+    p.add_argument("--parallel", action=argparse.BooleanOptionalAction, default=True,
+                   help="fan per-benchmark analyses over worker processes")
+    p.add_argument("--jobs", "-j", type=int, default=None,
+                   help="worker process count (default: cpu count)")
+    p.add_argument("--cache-dir", default=None,
+                   help="shared profile cache directory for the workers")
+    _add_fault_flags(p)
+    p.add_argument("--keep-going", dest="keep_going", action="store_true",
+                   default=True,
+                   help="report partial results and exit 0 when some "
+                        "programs fail (default)")
+    p.add_argument("--fail-fast", dest="keep_going", action="store_false",
+                   help="stop the sweep at the first exhausted failure "
+                        "and exit non-zero")
+    _add_engine_flag(p)
+    _add_json_flags(p)
 
-    from repro.campaign.grid import MACHINE_MODELS
-    from repro.campaign.store import default_campaign_db
+    p = command(sub, "experiments", _cmd_experiments,
+                "regenerate the full markdown experiment report")
+    p.add_argument("--output", "-o", default=None)
 
-    p_camp = sub.add_parser(
+    camp = sub.add_parser(
         "campaign", help="run and query experiment campaigns (docs/campaigns.md)"
-    )
-    camp_sub = p_camp.add_subparsers(dest="campaign_command", required=True)
+    ).add_subparsers(dest="campaign_command", required=True)
 
-    def _add_campaign_db(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--db", default=str(default_campaign_db()), metavar="PATH",
-            help="campaign results database (default: $REPRO_CAMPAIGN_DB "
-                 "or ~/.cache/repro/campaigns.sqlite)")
+    p = command(camp, "run", _cmd_campaign_run,
+                "execute a (program x machine x scale x threshold) grid")
+    p.add_argument("--name", required=True, help="campaign name "
+                   "(rerunning a name resumes its pending cells)")
+    p.add_argument("--programs", nargs="*", default=None, metavar="NAME",
+                   help="benchmark subset (default: the whole registry, "
+                        "or the corpus when --corpus is given)")
+    p.add_argument("--corpus", default=None, metavar="DIR",
+                   help="register a generated corpus directory and grid "
+                        "over its programs (restrict further with "
+                        "--programs)")
+    p.add_argument("--machines", nargs="*", default=["default"],
+                   choices=sorted(MACHINE_MODELS),
+                   help="named machine models to sweep")
+    p.add_argument("--scales", nargs="*", type=float, default=[1.0],
+                   metavar="S", help="input-scale factors to sweep")
+    p.add_argument("--thresholds", nargs="*", default=["spec"], metavar="T",
+                   help="hotspot thresholds to sweep ('spec' = each "
+                        "benchmark's own default)")
+    p.add_argument("--url", default=None,
+                   help="daemon address (default: boot an embedded "
+                        "daemon for this run)")
+    p.add_argument("--workers", type=int, default=2,
+                   help="embedded daemon worker count (ignored with --url)")
+    p.add_argument("--cache-dir", default=None,
+                   help="embedded daemon profile cache (ignored with --url)")
+    p.add_argument("--timeout", type=float, default=300.0,
+                   help="per-cell completion timeout in seconds")
+    _add_campaign_db(p)
 
-    p_crun = camp_sub.add_parser(
-        "run", help="execute a (program x machine x scale x threshold) grid"
-    )
-    p_crun.add_argument("--name", required=True, help="campaign name "
-                        "(rerunning a name resumes its pending cells)")
-    p_crun.add_argument("--programs", nargs="*", default=None, metavar="NAME",
-                        help="benchmark subset (default: the whole registry, "
-                             "or the corpus when --corpus is given)")
-    p_crun.add_argument("--corpus", default=None, metavar="DIR",
-                        help="register a generated corpus directory and grid "
-                             "over its programs (restrict further with "
-                             "--programs)")
-    p_crun.add_argument("--machines", nargs="*", default=["default"],
-                        choices=sorted(MACHINE_MODELS),
-                        help="named machine models to sweep")
-    p_crun.add_argument("--scales", nargs="*", type=float, default=[1.0],
-                        metavar="S", help="input-scale factors to sweep")
-    p_crun.add_argument("--thresholds", nargs="*", default=["spec"], metavar="T",
-                        help="hotspot thresholds to sweep ('spec' = each "
-                             "benchmark's own default)")
-    p_crun.add_argument("--url", default=None,
-                        help="daemon address (default: boot an embedded "
-                             "daemon for this run)")
-    p_crun.add_argument("--workers", type=int, default=2,
-                        help="embedded daemon worker count (ignored with --url)")
-    p_crun.add_argument("--cache-dir", default=None,
-                        help="embedded daemon profile cache (ignored with --url)")
-    p_crun.add_argument("--timeout", type=float, default=300.0,
-                        help="per-cell completion timeout in seconds")
-    _add_campaign_db(p_crun)
-    _add_json_flags(p_crun)
-    p_crun.set_defaults(func=_cmd_campaign_run)
+    p = command(camp, "status", _cmd_campaign_status,
+                "cell-state counts for one or all campaigns")
+    p.add_argument("--name", default=None)
+    _add_campaign_db(p)
 
-    p_cstat = camp_sub.add_parser(
-        "status", help="cell-state counts for one or all campaigns"
-    )
-    p_cstat.add_argument("--name", default=None)
-    _add_campaign_db(p_cstat)
-    _add_json_flags(p_cstat)
-    p_cstat.set_defaults(func=_cmd_campaign_status)
+    p = command(camp, "query", _cmd_campaign_query,
+                "filter, aggregate, and export stored campaign results")
+    p.add_argument("--name", default=None, help="restrict to one campaign")
+    p.add_argument("--program", default=None)
+    p.add_argument("--machine", default=None)
+    p.add_argument("--scale", type=float, default=None)
+    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--group-by", nargs="*", default=None, metavar="KEY",
+                   help="aggregate with geomean speedups by axis keys "
+                        "(campaign/program/machine/scale/threshold/label)")
+    p.add_argument("--baseline", default=None, metavar="CAMPAIGN",
+                   help="per-cell regression deltas of --name vs this "
+                        "baseline campaign")
+    p.add_argument("--csv", action="store_true",
+                   help="emit CSV instead of a text table")
+    p.add_argument("--table3", action="store_true",
+                   help="emit the campaign's default-grid cells as "
+                        "Table III (byte-identical to `table3 --json`)")
+    _add_campaign_db(p)
 
-    p_cq = camp_sub.add_parser(
-        "query", help="filter, aggregate, and export stored campaign results"
-    )
-    p_cq.add_argument("--name", default=None, help="restrict to one campaign")
-    p_cq.add_argument("--program", default=None)
-    p_cq.add_argument("--machine", default=None)
-    p_cq.add_argument("--scale", type=float, default=None)
-    p_cq.add_argument("--threshold", type=float, default=None)
-    p_cq.add_argument("--group-by", nargs="*", default=None, metavar="KEY",
-                      help="aggregate with geomean speedups by axis keys "
-                           "(campaign/program/machine/scale/threshold/label)")
-    p_cq.add_argument("--baseline", default=None, metavar="CAMPAIGN",
-                      help="per-cell regression deltas of --name vs this "
-                           "baseline campaign")
-    p_cq.add_argument("--csv", action="store_true",
-                      help="emit CSV instead of a text table")
-    p_cq.add_argument("--table3", action="store_true",
-                      help="emit the campaign's default-grid cells as "
-                           "Table III (byte-identical to `table3 --json`)")
-    _add_campaign_db(p_cq)
-    _add_json_flags(p_cq)
-    p_cq.set_defaults(func=_cmd_campaign_query)
-
-    p_corpus = sub.add_parser(
+    corpus = sub.add_parser(
         "corpus", help="generate and score labeled program corpora (docs/corpus.md)"
-    )
-    corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
+    ).add_subparsers(dest="corpus_command", required=True)
 
-    p_cgen = corpus_sub.add_parser(
-        "generate", help="write a deterministic labeled corpus directory"
-    )
-    p_cgen.add_argument("--count", type=int, required=True, metavar="N",
-                        help="number of programs to generate")
-    p_cgen.add_argument("--seed", type=int, default=0,
-                        help="generation seed; (count, seed) fully determines "
-                             "every byte of the corpus")
-    p_cgen.add_argument("--out", required=True, metavar="DIR",
-                        help="corpus directory (created if needed)")
-    p_cgen.add_argument("--name", default=None,
-                        help="corpus name (default: corpus-s<seed>-n<count>)")
-    p_cgen.add_argument("--adversarial", action="store_true",
-                        help="include the near-miss adversarial templates in "
-                             "the round-robin rotation (default name gains "
-                             "an adv- prefix)")
-    _add_json_flags(p_cgen)
-    p_cgen.set_defaults(func=_cmd_corpus_generate)
+    p = command(corpus, "generate", _cmd_corpus_generate,
+                "write a deterministic labeled corpus directory")
+    p.add_argument("--count", type=int, required=True, metavar="N",
+                   help="number of programs to generate")
+    p.add_argument("--seed", type=int, default=0,
+                   help="generation seed; (count, seed) fully determines "
+                        "every byte of the corpus")
+    p.add_argument("--out", required=True, metavar="DIR",
+                   help="corpus directory (created if needed)")
+    p.add_argument("--name", default=None,
+                   help="corpus name (default: corpus-s<seed>-n<count>)")
+    p.add_argument("--adversarial", action="store_true",
+                   help="include the near-miss adversarial templates in "
+                        "the round-robin rotation (default name gains "
+                        "an adv- prefix)")
+    _add_json_flags(p)
 
-    p_cscore = corpus_sub.add_parser(
-        "score", help="run the detectors over a corpus and score them "
-                      "against its ground-truth labels"
-    )
-    p_cscore.add_argument("dir", metavar="DIR", help="corpus directory")
-    p_cscore.add_argument("--cache-dir", default=None,
-                          help="profile cache directory (default: "
-                               "$REPRO_PROFILE_CACHE or ~/.cache/repro/profiles)")
-    p_cscore.add_argument("--no-cache", action="store_true",
-                          help="always re-run the instrumented engine")
-    p_cscore.add_argument("--csv", action="store_true",
-                          help="emit the per-detector table as CSV")
-    _add_engine_flag(p_cscore)
-    _add_json_flags(p_cscore)
-    p_cscore.set_defaults(func=_cmd_corpus_score)
+    p = command(corpus, "score", _cmd_corpus_score,
+                "run the detectors over a corpus and score them "
+                "against its ground-truth labels")
+    _add_corpus_dir(p)
+    p.add_argument("--csv", action="store_true",
+                   help="emit the per-detector table as CSV")
+    _add_engine_flag(p)
+    _add_json_flags(p)
 
-    p_learn = sub.add_parser(
+    learn = sub.add_parser(
         "learn", help="learned detection baseline: extract features, train "
                       "classifiers, and judge them against the rule-based "
                       "detectors (docs/learned.md)"
-    )
-    learn_sub = p_learn.add_subparsers(dest="learn_command", required=True)
+    ).add_subparsers(dest="learn_command", required=True)
 
-    def _add_learn_common(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument("dir", metavar="DIR", help="corpus directory")
-        sub_parser.add_argument("--cache-dir", default=None,
-                                help="profile cache directory (default: "
-                                     "$REPRO_PROFILE_CACHE or "
-                                     "~/.cache/repro/profiles)")
-        sub_parser.add_argument("--no-cache", action="store_true",
-                                help="always re-run the instrumented engine")
-        sub_parser.add_argument("--parallel", action="store_true",
-                                help="extract features with a process pool "
-                                     "(output is byte-identical to serial)")
-        _add_engine_flag(sub_parser)
-        _add_json_flags(sub_parser)
+    p = command(learn, "features", _cmd_learn_features,
+                "extract the versioned feature vector for every corpus program")
+    _add_learn_common(p)
+    p.add_argument("--csv", action="store_true",
+                   help="emit one row per program with all features")
 
-    def _add_learn_model_flags(sub_parser: argparse.ArgumentParser,
-                               default_holdout: float) -> None:
-        from repro.learn import MODEL_KINDS
+    p = command(learn, "train", _cmd_learn_train,
+                "train a model artifact on a corpus (byte-deterministic "
+                "for fixed seed and corpus)")
+    _add_learn_common(p)
+    _add_learn_model_flags(p, default_holdout=0.0)
+    p.add_argument("--out", default=None, metavar="FILE",
+                   help="write the JSON model artifact here")
 
-        sub_parser.add_argument("--model", choices=list(MODEL_KINDS),
-                                default="logistic",
-                                help="classifier family (default: logistic)")
-        sub_parser.add_argument("--seed", type=int, default=7,
-                                help="split/training seed (default: 7)")
-        sub_parser.add_argument("--holdout", type=float,
-                                default=default_holdout,
-                                help="fraction of the corpus held out of "
-                                     f"training (default: {default_holdout})")
+    p = command(learn, "eval", _cmd_learn_eval,
+                "train on the corpus' train split and report per-pattern "
+                "precision/recall/F1 for the learned model and the "
+                "rule-based detectors on the same held-out programs")
+    _add_learn_common(p)
+    _add_learn_model_flags(p, default_holdout=0.3)
+    p.add_argument("--csv", action="store_true",
+                   help="emit the comparison table as CSV")
+    return parser
 
-    p_lfeat = learn_sub.add_parser(
-        "features", help="extract the versioned feature vector for every "
-                         "corpus program"
-    )
-    _add_learn_common(p_lfeat)
-    p_lfeat.add_argument("--csv", action="store_true",
-                         help="emit one row per program with all features")
-    p_lfeat.set_defaults(func=_cmd_learn_features)
 
-    p_ltrain = learn_sub.add_parser(
-        "train", help="train a model artifact on a corpus (byte-deterministic "
-                      "for fixed seed and corpus)"
-    )
-    _add_learn_common(p_ltrain)
-    _add_learn_model_flags(p_ltrain, default_holdout=0.0)
-    p_ltrain.add_argument("--out", default=None, metavar="FILE",
-                          help="write the JSON model artifact here")
-    p_ltrain.set_defaults(func=_cmd_learn_train)
-
-    p_leval = learn_sub.add_parser(
-        "eval", help="train on the corpus' train split and report per-pattern "
-                     "precision/recall/F1 for the learned model and the "
-                     "rule-based detectors on the same held-out programs"
-    )
-    _add_learn_common(p_leval)
-    _add_learn_model_flags(p_leval, default_holdout=0.3)
-    p_leval.add_argument("--csv", action="store_true",
-                         help="emit the comparison table as CSV")
-    p_leval.set_defaults(func=_cmd_learn_eval)
-
-    args = parser.parse_args(argv)
-    return args.func(args)
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        group = getattr(args, f"{args.command}_command", None)
+        print(f"{args.command} {group}: {exc}" if group else f"{args.command}: {exc}",
+              file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -11,25 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lang.ast_nodes import (
-    ArrayLV,
     ArrayRef,
     Assign,
     Call,
     Expr,
-    ExprStmt,
     For,
     Function,
     If,
     Program,
-    Return,
     Stmt,
-    UnaryOp,
-    BinOp,
     VarDecl,
-    VarLV,
     VarRef,
     While,
-    child_stmts,
     stmt_exprs,
     walk_exprs,
     walk_stmts,
@@ -235,19 +228,3 @@ def max_loop_depth(func: Function) -> int:
         return best
 
     return depth_of(loop_nests(func.body))
-
-
-def stmt_has_early_exit(stmt: Stmt) -> bool:
-    """True when *stmt* contains a ``return`` or ``break`` at any depth."""
-    for s in walk_stmts([stmt]):
-        if isinstance(s, Return):
-            return True
-    return False
-
-
-def body_uses_var_after(body: list[Stmt], index: int, name: str) -> bool:
-    """True when any statement after ``body[index]`` reads *name*."""
-    for later in body[index + 1 :]:
-        if name in stmt_reads(later):
-            return True
-    return False

@@ -36,9 +36,10 @@ from repro.patterns.pipeline import detect_multiloop_pipelines, pipeline_chains
 from repro.patterns.fusion import detect_fusion
 from repro.patterns.tasks import detect_task_parallelism
 from repro.patterns.geometric import detect_geometric_decomposition
-from repro.patterns.engine import AnalysisResult, analyze, summarize_patterns
+from repro.patterns.engine import analyze, summarize_patterns
 from repro.patterns.framework import (
     AnalysisContext,
+    AnalysisResult,
     AnalysisTrace,
     Detector,
     DetectorRegistry,

@@ -12,47 +12,28 @@ to ``analyze``/``analyze_profile`` to add, replace, or drop stages.
 evaluation section exhibits (fusion ≻ multi-loop pipeline ≻ task parallelism
 ≻ geometric decomposition ≻ reduction ≻ do-all).
 
-The thresholds (:data:`MIN_TASK_SPEEDUP`, :data:`MIN_PIPELINE_EFFICIENCY`,
-:data:`MIN_TASK_GRAIN`) and :class:`AnalysisResult` itself live in
-:mod:`repro.patterns.framework` and are re-exported here for compatibility.
+The thresholds and :class:`AnalysisResult` itself live in
+:mod:`repro.patterns.framework`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import for annotations only
-    from repro.profiling.cache import ProfileCache
+from typing import Any, Sequence
 
 from repro.lang.ast_nodes import Program
 from repro.obs.tracing import ensure_tracer
 from repro.patterns.framework import (
-    MIN_PIPELINE_EFFICIENCY,
-    MIN_SIGNIFICANT_TASKS,
-    MIN_TASK_GRAIN,
-    MIN_TASK_SPEEDUP,
     AnalysisContext,
     AnalysisResult,
-    AnalysisTrace,
     DetectorRegistry,
-    default_registry,
     run_detectors,
 )
 from repro.patterns.result import TaskParallelism
+from repro.profiling.cache import ProfileCache, cached_profile_runs
 from repro.profiling.hotspots import DEFAULT_THRESHOLD, hotspot_regions
 from repro.profiling.model import Profile
-from repro.profiling.runner import profile_runs
 
 __all__ = [
-    "MIN_TASK_SPEEDUP",
-    "MIN_PIPELINE_EFFICIENCY",
-    "MIN_TASK_GRAIN",
-    "MIN_SIGNIFICANT_TASKS",
-    "AnalysisContext",
-    "AnalysisResult",
-    "AnalysisTrace",
-    "DetectorRegistry",
-    "default_registry",
     "analyze",
     "analyze_profile",
     "summarize_patterns",
@@ -69,7 +50,7 @@ def analyze(
     min_pairs: int = 3,
     record_calltree: bool = True,
     max_cost: int = 500_000_000,
-    cache: "ProfileCache | None" = None,
+    cache: ProfileCache | None = None,
     registry: DetectorRegistry | None = None,
     engine: str = "compiled",
 ) -> AnalysisResult:
@@ -86,20 +67,11 @@ def analyze(
         with tracer.span(
             "profile", cached=cache is not None, runs=len(arg_sets), engine=engine
         ):
-            if cache is not None:
-                from repro.profiling.cache import cached_profile_runs
-
-                profile, _ = cached_profile_runs(
-                    program, entry, arg_sets,
-                    record_calltree=record_calltree, max_cost=max_cost, cache=cache,
-                    engine=engine,
-                )
-            else:
-                profile = profile_runs(
-                    program, entry, arg_sets,
-                    record_calltree=record_calltree, max_cost=max_cost,
-                    engine=engine,
-                )
+            profile, _ = cached_profile_runs(
+                program, entry, arg_sets,
+                record_calltree=record_calltree, max_cost=max_cost, cache=cache,
+                engine=engine,
+            )
         return analyze_profile(
             program,
             profile,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.patterns.engine import AnalysisResult, primary_pattern_regions
+from repro.patterns.framework import AnalysisResult
 from repro.patterns.result import SUPPORTING_STRUCTURE
 
 #: Base effort (in "programmer units") of applying each supporting
@@ -72,7 +72,6 @@ def _applicable_labels(result: AnalysisResult) -> list[str]:
 
 
 def _lines_touched(result: AnalysisResult, label: str) -> int:
-    from repro.cu.detect import region_body
     from repro.lang.analysis import stmt_lines
 
     regions: list[int] = []

@@ -298,6 +298,8 @@ def cached_profile_runs(
 
     Returns ``(profile, was_hit)``.  On a hit the interpreter never runs; on
     a miss the merged profile is computed and stored before returning.
+    ``cache=None`` means no cache: the profile is always computed, nothing
+    is read or written, and ``was_hit`` is False.
 
     *engine* selects the execution engine on a miss.  It is deliberately
     **not** part of the cache key: both engines produce byte-identical
@@ -305,26 +307,25 @@ def cached_profile_runs(
     entry computed by either is valid for both and switching engines never
     cold-starts the cache.
     """
-    if cache is None:
-        cache = ProfileCache()
-    # Programs assembled via ProgramBuilder have no source text; their AST
-    # repr is deterministic and serves as the content to hash instead.
-    source = program.source or repr(program)
-    key = profile_cache_key(
-        source, entry, arg_sets,
-        record_calltree=record_calltree, max_cost=max_cost,
-    )
-    profile = cache.load(key)
-    if profile is not None:
-        return profile, True
+    if cache is not None:
+        # Programs assembled via ProgramBuilder have no source text; their
+        # AST repr is deterministic and serves as the content to hash.
+        key = profile_cache_key(
+            program.source or repr(program), entry, arg_sets,
+            record_calltree=record_calltree, max_cost=max_cost,
+        )
+        profile = cache.load(key)
+        if profile is not None:
+            return profile, True
     profile = profile_runs(
         program, entry, arg_sets,
         record_calltree=record_calltree, max_cost=max_cost, engine=engine,
     )
-    # The profile is already computed; an unwritable cache (read-only dir,
-    # full disk) must not forfeit it.  Future calls simply recompute.
-    try:
-        cache.store(key, profile)
-    except OSError:
-        cache.stats.bump("store_errors")
+    if cache is not None:
+        # The profile is already computed; an unwritable cache (read-only
+        # dir, full disk) must not forfeit it.  Future calls recompute.
+        try:
+            cache.store(key, profile)
+        except OSError:
+            cache.stats.bump("store_errors")
     return profile, False

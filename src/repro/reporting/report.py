@@ -10,8 +10,8 @@ deciding threshold spelled out.
 
 from __future__ import annotations
 
-from repro.patterns.engine import AnalysisResult, summarize_patterns
-from repro.patterns.framework import Evidence
+from repro.patterns.engine import summarize_patterns
+from repro.patterns.framework import AnalysisResult, Evidence
 from repro.patterns.interpretation import interpret_pipeline
 from repro.patterns.result import SUPPORTING_STRUCTURE
 from repro.reporting.tables import format_table

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.obs.logs import JsonLogger
+    from repro.profiling.cache import ProfileCache
 
 #: Exception message length kept in failure records.
 _MESSAGE_LIMIT = 300
@@ -247,41 +248,79 @@ def outcome_from_analysis(spec, result, sim_outcome) -> BenchmarkOutcome:
     )
 
 
+def bench_outcome(
+    payload: dict[str, Any],
+    cache: "ProfileCache | None" = None,
+    engine: str = "compiled",
+) -> BenchmarkOutcome:
+    """One registered benchmark end to end: analysis plus simulation.
+
+    ``payload["name"]`` names the benchmark.  Campaign cells ride through
+    optional payload keys, each defaulting to the registry spec / the frozen
+    :data:`~repro.sim.machine.DEFAULT_MACHINE`, so a bare ``{"name": ...}``
+    stays byte-identical to ``repro table3``:
+
+    * ``scale`` — input-scale factor applied to the spec's argument sets
+      via :func:`repro.bench_programs.workloads.scale_arg_sets`;
+    * ``threshold`` / ``min_pairs`` — detector-config overrides;
+    * ``machine`` — mapping of :class:`~repro.sim.machine.Machine` cost
+      fields (``spawn_cost``, ``barrier_base``, ...) replaced onto the
+      default model before simulation.
+
+    Deliberately avoids ``registry.analyze_benchmark`` (its ``lru_cache``
+    would be inherited by forked workers and could mask real recomputation)
+    and re-parses the program from its source text.  *cache* is a
+    :class:`~repro.profiling.cache.ProfileCache` or None (no cache);
+    *engine* selects the execution engine for the instrumented runs, and
+    outcomes (including the profile digest) are identical across engines.
+    """
+    from dataclasses import replace
+
+    from repro.bench_programs.registry import get_benchmark
+    from repro.bench_programs.workloads import scale_arg_sets
+    from repro.lang.parser import parse_program
+    from repro.lang.validate import validate_program
+    from repro.patterns.engine import analyze
+    from repro.sim import plan_and_simulate
+    from repro.sim.machine import DEFAULT_MACHINE
+
+    spec = get_benchmark(payload["name"])
+    program = parse_program(spec.source)
+    validate_program(program)
+    arg_sets = spec.arg_sets()
+    scale = float(payload.get("scale", 1.0))
+    if scale != 1.0:
+        arg_sets = scale_arg_sets(arg_sets, scale)
+    overrides = payload.get("machine") or {}
+    machine = replace(DEFAULT_MACHINE, **overrides) if overrides else DEFAULT_MACHINE
+    result = analyze(
+        program,
+        spec.entry,
+        arg_sets,
+        hotspot_threshold=float(payload.get("threshold", spec.hotspot_threshold)),
+        min_pairs=int(payload.get("min_pairs", spec.min_pairs)),
+        cache=cache,
+        engine=engine,
+    )
+    return outcome_from_analysis(
+        spec, result, plan_and_simulate(result, machine=machine)
+    )
+
+
 def analyze_one(
     name: str, cache_dir: str | None = None, engine: str = "compiled"
 ) -> BenchmarkOutcome:
     """Analyze one registry benchmark from scratch; used as the pool worker.
 
-    Deliberately avoids ``registry.analyze_benchmark`` (its ``lru_cache``
-    would be inherited by forked workers and could mask real recomputation)
-    and re-parses the program from its source text.  *engine* selects the
-    execution engine for the instrumented runs; outcomes (including the
-    profile digest) are identical across engines.
+    The :func:`bench_outcome` of a bare ``{"name": name}`` payload, profiled
+    through the on-disk cache at *cache_dir* when one is given.
     """
-    from repro.bench_programs.registry import get_benchmark
-    from repro.lang.parser import parse_program
-    from repro.lang.validate import validate_program
-    from repro.patterns.engine import analyze
-    from repro.sim import plan_and_simulate
-
-    spec = get_benchmark(name)
-    program = parse_program(spec.source)
-    validate_program(program)
     cache = None
     if cache_dir is not None:
         from repro.profiling.cache import ProfileCache
 
         cache = ProfileCache(root=cache_dir)
-    result = analyze(
-        program,
-        spec.entry,
-        spec.arg_sets(),
-        hotspot_threshold=spec.hotspot_threshold,
-        min_pairs=spec.min_pairs,
-        cache=cache,
-        engine=engine,
-    )
-    return outcome_from_analysis(spec, result, plan_and_simulate(result))
+    return bench_outcome({"name": name}, cache, engine)
 
 
 def call_with_timeout(

@@ -48,7 +48,7 @@ from repro.obs.logs import JsonLogger
 from repro.obs.tracing import Tracer, activate
 from repro.profiling.cache import CacheStats, ProfileCache
 from repro.profiling.hotspots import DEFAULT_THRESHOLD
-from repro.runtime.parallel import FailedOutcome, run_one
+from repro.runtime.parallel import FailedOutcome, bench_outcome, run_one
 from repro.service.jobs import Job, build_call_args
 
 #: Backend names ``repro serve --backend`` accepts.
@@ -87,55 +87,12 @@ def run_source_job(payload: dict[str, Any], cache: ProfileCache) -> tuple[dict, 
 def run_bench_job(payload: dict[str, Any], cache: ProfileCache) -> tuple[dict, dict]:
     """One registered benchmark end to end (analysis + simulation).
 
-    Mirrors ``parallel.analyze_one``, but profiles through the passed
-    cache object so hits show up in the daemon's ``/v1/stats``.
-
-    Campaign cells ride through optional payload keys, each defaulting to
-    the registry spec / the frozen :data:`~repro.sim.machine.DEFAULT_MACHINE`
-    so a bare ``{"kind": "bench", "name": ...}`` stays byte-identical to
-    ``repro table3``:
-
-    * ``scale`` — input-scale factor applied to the spec's argument sets
-      via :func:`repro.bench_programs.workloads.scale_arg_sets`;
-    * ``threshold`` / ``min_pairs`` — detector-config overrides;
-    * ``machine`` — mapping of :class:`~repro.sim.machine.Machine` cost
-      fields (``spawn_cost``, ``barrier_base``, ...) replaced onto the
-      default model before simulation.
+    :func:`~repro.runtime.parallel.bench_outcome` (which documents the
+    campaign keys a payload may carry), profiled through the daemon's cache
+    object so hits show up in its ``/v1/stats``.
     """
-    from dataclasses import replace
-
-    from repro.bench_programs.registry import get_benchmark
-    from repro.bench_programs.workloads import scale_arg_sets
-    from repro.lang.parser import parse_program
-    from repro.lang.validate import validate_program
-    from repro.patterns.engine import analyze
-    from repro.runtime.parallel import outcome_from_analysis
-    from repro.sim import plan_and_simulate
-    from repro.sim.machine import DEFAULT_MACHINE
-
     before = cache.stats.hits
-    spec = get_benchmark(payload["name"])
-    program = parse_program(spec.source)
-    validate_program(program)
-    arg_sets = spec.arg_sets()
-    scale = float(payload.get("scale", 1.0))
-    if scale != 1.0:
-        arg_sets = scale_arg_sets(arg_sets, scale)
-    machine = DEFAULT_MACHINE
-    overrides = payload.get("machine") or {}
-    if overrides:
-        machine = replace(DEFAULT_MACHINE, **overrides)
-    result = analyze(
-        program,
-        spec.entry,
-        arg_sets,
-        hotspot_threshold=float(payload.get("threshold", spec.hotspot_threshold)),
-        min_pairs=int(payload.get("min_pairs", spec.min_pairs)),
-        cache=cache,
-    )
-    outcome = outcome_from_analysis(
-        spec, result, plan_and_simulate(result, machine=machine)
-    )
+    outcome = bench_outcome(payload, cache)
     return outcome.to_dict(), {"profile_cache_hit": cache.stats.hits > before}
 
 

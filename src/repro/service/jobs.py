@@ -247,13 +247,11 @@ class JobStore:
         logger: JsonLogger | None = None,
         db_path: str | None = None,
         max_queue: int | None = None,
-        coalesce: bool = True,
         backend: str = "thread",
     ) -> None:
         self.max_history = max(1, max_history)
         self.jsonl_path = jsonl_path
         self.max_queue = max_queue
-        self.coalesce = coalesce
         self.backend = backend
         if logger is None:
             logger = JsonLogger(path=jsonl_path) if jsonl_path else JsonLogger()
@@ -371,7 +369,7 @@ class JobStore:
             else:
                 job.coalesced_with = None
                 self._queue.append(job.id)
-                if self.coalesce and job.digest:
+                if job.digest:
                     self._inflight.setdefault(job.digest, job.id)
             self._db.upsert(job)
         while len(self._terminal) > self.max_history:
@@ -415,9 +413,7 @@ class JobStore:
         with self._cond:
             if self._closed:
                 raise RuntimeError("job store is closed")
-            leader = None
-            if self.coalesce:
-                leader = self._jobs.get(self._inflight.get(digest, -1))
+            leader = self._jobs.get(self._inflight.get(digest, -1))
             if (
                 leader is not None
                 and leader.state in ("queued", "running")
@@ -456,8 +452,7 @@ class JobStore:
             )
             self._jobs[job.id] = job
             self._queue.append(job.id)
-            if self.coalesce:
-                self._inflight[digest] = job.id
+            self._inflight[digest] = job.id
             self.submitted += 1
             self._submitted_total.inc()
             self._persist(job)
@@ -581,8 +576,7 @@ class JobStore:
             return
         promoted.coalesced_with = None
         self._queue.append(promoted.id)
-        if self.coalesce:
-            self._inflight[promoted.digest] = promoted.id
+        self._inflight[promoted.digest] = promoted.id
         if rest:
             self._followers[promoted.id] = rest
         self._persist(promoted, event="job.promoted")

@@ -21,10 +21,14 @@ written before a restart re-serializes byte-identically after it.
 
 Like the JSONL transition log (which remains the human-greppable audit
 trail), persistence is **best-effort**: a failed write bumps
-:attr:`SqliteJobLog.errors` and the in-memory store keeps serving.  One
-connection is shared by all store threads; the store's own lock already
-serializes every call, so the connection is opened with
-``check_same_thread=False`` and never used concurrently.
+:attr:`SqliteJobLog.errors` and the in-memory store keeps serving.
+
+:func:`open_db`, :func:`dump` and :func:`load` are the sqlite plumbing
+both durable stores share (this job log and
+:class:`repro.campaign.store.CampaignStore`): one WAL-mode connection per
+store, shared by its threads under the store's own lock (so it is opened
+with ``check_same_thread=False`` and never used concurrently), and
+documents kept as deterministic JSON text.
 """
 
 from __future__ import annotations
@@ -57,14 +61,25 @@ CREATE INDEX IF NOT EXISTS jobs_digest ON jobs(digest);
 """
 
 
-def _dump(doc: Any) -> str | None:
+def open_db(path: str, schema: str) -> sqlite3.Connection:
+    """A WAL-mode connection to the sqlite file *path*, *schema* applied."""
+    conn = sqlite3.connect(path, check_same_thread=False)
+    conn.execute("PRAGMA journal_mode=WAL")
+    conn.execute("PRAGMA synchronous=NORMAL")
+    conn.executescript(schema)
+    conn.commit()
+    return conn
+
+
+def dump(doc: Any) -> str | None:
     """Deterministic JSON text for a document column (None stays NULL)."""
     if doc is None:
         return None
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=repr)
 
 
-def _load(text: str | None) -> Any:
+def load(text: str | None) -> Any:
+    """The document :func:`dump` wrote (NULL reads back as None)."""
     return None if text is None else json.loads(text)
 
 
@@ -75,13 +90,7 @@ class SqliteJobLog:
         self.path = str(path)
         self.errors = 0
         self._lock = threading.Lock()
-        self._conn: sqlite3.Connection | None = sqlite3.connect(
-            self.path, check_same_thread=False
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        self._conn: sqlite3.Connection | None = open_db(self.path, _SCHEMA)
 
     @property
     def closed(self) -> bool:
@@ -93,13 +102,13 @@ class SqliteJobLog:
             job.id,
             job.kind,
             job.state,
-            _dump(job.payload),
+            dump(job.payload),
             job.submitted_at,
             job.started_at,
             job.finished_at,
-            _dump(job.result),
-            _dump(job.error),
-            _dump(job.info),
+            dump(job.result),
+            dump(job.error),
+            dump(job.info),
             job.correlation_id,
             int(job.cancel_requested),
             job.digest,
@@ -155,13 +164,13 @@ class SqliteJobLog:
                     "id": r[0],
                     "kind": r[1],
                     "state": r[2],
-                    "payload": _load(r[3]) or {},
+                    "payload": load(r[3]) or {},
                     "submitted_at": r[4],
                     "started_at": r[5],
                     "finished_at": r[6],
-                    "result": _load(r[7]),
-                    "error": _load(r[8]),
-                    "info": _load(r[9]) or {},
+                    "result": load(r[7]),
+                    "error": load(r[8]),
+                    "info": load(r[9]) or {},
                     "correlation_id": r[10] or "",
                     "cancel_requested": bool(r[11]),
                     "digest": r[12] or "",

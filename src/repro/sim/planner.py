@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.cu.model import CU
-from repro.patterns.engine import AnalysisResult, summarize_patterns
+from repro.patterns.engine import summarize_patterns
+from repro.patterns.framework import AnalysisResult
 from repro.patterns.result import MultiLoopPipeline, TaskParallelism
 from repro.profiling.model import CallNode, Profile
 from repro.sim.amdahl import compose_speedup

@@ -10,7 +10,7 @@ of the related supporting structures").
 from __future__ import annotations
 
 from repro.lang.printer import format_program
-from repro.patterns.engine import AnalysisResult
+from repro.patterns.framework import AnalysisResult
 from repro.patterns.result import SUPPORTING_STRUCTURE
 
 

@@ -1,6 +1,9 @@
 """High-level API and CLI tests."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +41,17 @@ class TestApi:
             SRC, entry="total", arg_sets=[[np.ones(8), 8], [np.ones(32), 32]]
         )
         assert result.profile.runs == 2
+
+    def test_import_does_not_load_the_service(self):
+        code = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCli:
@@ -91,13 +105,14 @@ class TestCli:
                     "32",
                     "-o",
                     str(profile_path),
+                    "--no-cache",
                 ]
             )
             == 0
         )
         assert profile_path.exists()
         out = capsys.readouterr().out
-        assert "dependence records" in out
+        assert "(instrumented run)" in out and "dependence records" in out
         assert (
             main(
                 [
@@ -164,6 +179,21 @@ class TestCli:
         assert doc["schema_version"] >= 1
         assert "profile source" in captured.err
 
+    def test_detect_no_cache_reruns_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "default"))
+        src_path = tmp_path / "total.minic"
+        src_path.write_text(SRC)
+        argv = ["detect", str(src_path), "--entry", "total", "--rand", "A:32",
+                "--scalar", "32", "--no-cache", "--no-source"]
+        for _ in range(2):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "profile source: instrumented run" in out
+            assert "Primary pattern: Reduction" in out
+        assert not (tmp_path / "default").exists()
+
     def test_bench_json_carries_simulation_block(self, capsys):
         assert main(["bench", "fib", "--json", "--compact"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -184,3 +214,15 @@ class TestCli:
         )
         assert code == 0
         assert "Do-all" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--entry", "f"],
+        ["profile", "--entry", "f", "-o", "p.json"],
+        ["detect", "--entry", "f"],
+        ["submit", "--entry", "f", "--url", "http://127.0.0.1:1"],
+    ])
+    def test_missing_source_file_is_a_usage_error(self, tmp_path, capsys, command):
+        missing = str(tmp_path / "missing.minic")
+        assert main(command[:1] + [missing] + command[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command[0]}: cannot read {missing!r}")

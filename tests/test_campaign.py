@@ -363,6 +363,18 @@ class TestCampaignCli:
         groups = json.loads(capsys.readouterr().out)
         assert {g["program"] for g in groups} == set(SMALL)
 
+        # --json wins over --csv, with or without --group-by
+        for extra in ([], ["--group-by", "program"]):
+            assert main(["campaign", "query", "--db", db, "--csv", "--json",
+                         "--compact", *extra]) == 0
+            assert len(json.loads(capsys.readouterr().out)) == 2
+
+        assert main(["campaign", "query", "--db", db, "--group-by", "program",
+                     "--csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "program,cells,done,geomean_speedup,max_speedup"
+        assert sorted(line.split(",")[0] for line in lines[1:]) == sorted(SMALL)
+
     def test_status_unknown_campaign_exits_nonzero(self, tmp_path, capsys):
         db = str(tmp_path / "c.sqlite")
         assert main(["campaign", "status", "--name", "ghost", "--db", db]) == 1

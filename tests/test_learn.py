@@ -263,6 +263,14 @@ class TestCli:
         assert len(lines) == 13
         assert lines[0].split(",")[2:] == list(FEATURE_NAMES)
 
+    def test_features_no_cache_writes_no_profiles(self, corpus_dir, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "default"))
+        assert cli_main(["learn", "features", str(corpus_dir),
+                         "--no-cache", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["programs"]) == 12
+        assert not (tmp_path / "default").exists()
+
     def test_train_writes_a_loadable_artifact(self, corpus_dir, tmp_path,
                                               capsys):
         out = tmp_path / "model.json"

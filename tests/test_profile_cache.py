@@ -104,6 +104,15 @@ class TestCachedRuns:
         )
         assert not hit
 
+    def test_no_cache_always_computes_and_writes_nothing(
+        self, program, args, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_PROFILE_CACHE", str(tmp_path / "default"))
+        _, hit1 = cached_profile_runs(program, "total", args, cache=None)
+        _, hit2 = cached_profile_runs(program, "total", args, cache=None)
+        assert (hit1, hit2) == (False, False)
+        assert not (tmp_path / "default").exists()
+
     def test_cached_profile_drives_same_detection(self, program, args, cache):
         from repro.patterns.engine import analyze_profile, summarize_patterns
 

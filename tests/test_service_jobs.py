@@ -302,13 +302,6 @@ class TestCoalescing:
         assert store.get(follower.id).state == "done"
         assert store.get(follower.id).result is result
 
-    def test_coalescing_can_be_disabled(self):
-        store = JobStore(coalesce=False)
-        store.submit("bench", {"name": "x"})
-        second = store.submit("bench", {"name": "x"})
-        assert second.coalesced_with is None
-        assert store.counts()["coalesced"] == 0
-
 
 class TestAdmissionControl:
     def test_queue_full_rejects_submission(self):
