@@ -88,6 +88,9 @@ EVENT_CHUNK = 8192
 
 _CMP_OPS = frozenset(("==", "!=", "<", "<=", ">", ">="))
 
+#: Interpreter recursion limit while a MiniC program runs.
+_RECURSION_LIMIT = 40_000
+
 
 def build_globals(
     program: Program, space: AddressSpace
@@ -180,12 +183,12 @@ def run_entry(
         else:
             bound.append(int(arg) if param.type == "int" else float(arg))
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 40_000))
-    try:
-        value = invoke(func, bound)
-    finally:
-        sys.setrecursionlimit(old_limit)
+    # The limit is process-wide and concurrent runs share it, so it is only
+    # ever raised: restoring it after one run would lower it under a
+    # neighbouring run still deep in recursion.
+    if sys.getrecursionlimit() < _RECURSION_LIMIT:
+        sys.setrecursionlimit(_RECURSION_LIMIT)
+    value = invoke(func, bound)
     engine._flush()
     if engine.sink is not None:
         engine._flush_events()

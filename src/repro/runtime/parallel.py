@@ -18,11 +18,11 @@ Guarantees:
 * **Fault isolation** — a worker that raises, times out, or dies yields a
   structured :class:`FailedOutcome` record (exception type, message,
   traceback summary, attempt count) in that program's slot instead of
-  aborting the sweep.  Failures are retried up to ``retries`` times with
-  exponential backoff; a broken pool (e.g. an OOM-killed child taking the
-  executor down with :class:`BrokenProcessPool`) degrades to in-process
-  serial execution for every program still unresolved, so completed work
-  is never forfeited.
+  aborting the sweep.  Each pool worker runs :func:`run_one`, the one
+  timeout / retry-with-backoff / failure-record policy; a broken pool
+  (e.g. an OOM-killed child taking the executor down with
+  :class:`BrokenProcessPool`) degrades to in-process serial execution for
+  every program still unresolved, so completed work is never forfeited.
 * **Compact results** — workers return plain-data summaries (labels,
   pipeline coefficients, simulated speedups, digests, evidence counts), not
   multi-megabyte :class:`AnalysisResult` objects, keeping pickling off the
@@ -45,7 +45,7 @@ import signal
 import threading
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -147,8 +147,9 @@ class FailedOutcome:
     #: exception class name (``"AnalysisTimeout"`` for per-program timeouts)
     error_type: str
     message: str
-    #: innermost frames, rendered ``file:line in func``; parallel failures
-    #: quote the worker-side traceback the executor forwarded
+    #: innermost frames, rendered ``file:line in func``; an outcome that
+    #: could not cross the process boundary quotes the traceback the
+    #: executor forwarded
     traceback_summary: str
     #: total runs attempted (1 + retries consumed)
     attempts: int
@@ -199,9 +200,10 @@ def outcome_from_dict(data: dict[str, Any]) -> "BenchmarkOutcome | FailedOutcome
 def _summarize_traceback(exc: BaseException) -> str:
     """Condense *exc*'s traceback to its innermost frames.
 
-    Exceptions re-raised from a worker process carry the remote traceback
-    only as a ``_RemoteTraceback`` cause string; prefer its ``File`` lines
-    so the summary points into the worker's code, not the executor's.
+    Exceptions re-raised from a worker process (a callable or outcome that
+    could not be pickled) carry the remote traceback only as a
+    ``_RemoteTraceback`` cause string; prefer its ``File`` lines so the
+    summary points where pickling failed, not into the executor.
     """
     cause = exc.__cause__
     if cause is not None and type(cause).__name__ == "_RemoteTraceback":
@@ -222,29 +224,6 @@ def failure_record(name: str, exc: BaseException, attempts: int) -> FailedOutcom
         message=str(exc)[:_MESSAGE_LIMIT],
         traceback_summary=_summarize_traceback(exc),
         attempts=attempts,
-    )
-
-
-def outcome_from_analysis(spec, result, sim_outcome) -> BenchmarkOutcome:
-    """Condense one benchmark's analysis + simulation into an outcome."""
-    from repro.patterns.engine import primary_pattern_share, summarize_patterns
-    from repro.profiling.serialize import profile_digest
-
-    trace = result.trace
-    return BenchmarkOutcome(
-        name=spec.name,
-        suite=spec.suite,
-        loc=spec.loc,
-        label=summarize_patterns(result),
-        primary_share=primary_pattern_share(result),
-        best_speedup=sim_outcome.best_speedup,
-        best_threads=sim_outcome.best_threads,
-        pipelines=tuple(
-            (p.loop_x, p.loop_y, p.a, p.b, p.efficiency) for p in result.pipelines
-        ),
-        profile_digest=profile_digest(result.profile),
-        evidence_accepted=len(trace.accepted()) if trace is not None else 0,
-        evidence_rejected=len(trace.rejected()) if trace is not None else 0,
     )
 
 
@@ -280,7 +259,8 @@ def bench_outcome(
     from repro.bench_programs.workloads import scale_arg_sets
     from repro.lang.parser import parse_program
     from repro.lang.validate import validate_program
-    from repro.patterns.engine import analyze
+    from repro.patterns.engine import analyze, primary_pattern_share, summarize_patterns
+    from repro.profiling.serialize import profile_digest
     from repro.sim import plan_and_simulate
     from repro.sim.machine import DEFAULT_MACHINE
 
@@ -302,8 +282,22 @@ def bench_outcome(
         cache=cache,
         engine=engine,
     )
-    return outcome_from_analysis(
-        spec, result, plan_and_simulate(result, machine=machine)
+    sim_outcome = plan_and_simulate(result, machine=machine)
+    trace = result.trace
+    return BenchmarkOutcome(
+        name=spec.name,
+        suite=spec.suite,
+        loc=spec.loc,
+        label=summarize_patterns(result),
+        primary_share=primary_pattern_share(result),
+        best_speedup=sim_outcome.best_speedup,
+        best_threads=sim_outcome.best_threads,
+        pipelines=tuple(
+            (p.loop_x, p.loop_y, p.a, p.b, p.efficiency) for p in result.pipelines
+        ),
+        profile_digest=profile_digest(result.profile),
+        evidence_accepted=len(trace.accepted()) if trace is not None else 0,
+        evidence_rejected=len(trace.rejected()) if trace is not None else 0,
     )
 
 
@@ -356,24 +350,10 @@ def call_with_timeout(
         signal.signal(signal.SIGALRM, previous)
 
 
-def _pool_task(analyze_fn, name: str, cache_dir: str | None, timeout: float | None):
-    """Top-level (picklable) worker entry: one program, timeout-bounded."""
-    return call_with_timeout(analyze_fn, name, cache_dir, timeout)
-
-
-def _backoff_delay(backoff: float, attempt: int) -> float:
-    """Exponential backoff before re-running *attempt* (1-based)."""
-    return backoff * (2 ** (attempt - 1))
-
-
-def default_max_workers(n_tasks: int | None = None) -> int:
-    """Process-pool sizing shared by the sweep and the service's
-    ``process`` backend: the machine's CPU count, capped by the number of
-    tasks when known, never below one."""
-    workers = os.cpu_count() or 1
-    if n_tasks is not None:
-        workers = min(max(0, n_tasks), workers)
-    return max(1, workers)
+def default_max_workers(n_tasks: int) -> int:
+    """Process-pool sizing for the registry sweep: the machine's CPU count,
+    capped by the number of tasks, never below one."""
+    return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
 def run_one(
@@ -387,12 +367,13 @@ def run_one(
     prior_attempts: int = 0,
     log: "JsonLogger | None" = None,
 ) -> "BenchmarkOutcome | FailedOutcome | Any":
-    """Submit-one-program entry point with the sweep's fault semantics.
+    """Run one program under the fault policy: timeout, retry, failure record.
 
-    Runs ``analyze_fn(name, cache_dir)`` under the same timeout / retry /
-    failure-record policy :func:`analyze_registry` applies per program, but
-    for a single submission — the building block the analysis service's
-    executor and the serial sweep path share.  Never raises: after
+    Runs ``analyze_fn(name, cache_dir)``, bounded per attempt by *timeout*,
+    and re-runs a failing attempt up to *retries* times, sleeping
+    ``backoff * 2**n`` seconds between attempts.  This is the only place
+    that policy lives: the sweep's pool workers and its serial path,
+    ``repro bench`` and every daemon job all run it.  Never raises: after
     ``1 + retries`` attempts (counting *prior_attempts* already consumed,
     e.g. by a broken pool) the exhausted exception comes back as a
     structured :class:`FailedOutcome`.
@@ -416,7 +397,7 @@ def run_one(
                         error_type=type(exc).__name__,
                         message=str(exc)[:_MESSAGE_LIMIT],
                     )
-                time.sleep(_backoff_delay(backoff, attempts))
+                time.sleep(backoff * 2 ** (attempts - 1))
                 continue
             record = failure_record(name, exc, attempts)
             if log is not None:
@@ -428,93 +409,6 @@ def run_one(
                     message=record.message,
                 )
             return record
-
-
-def _analyze_serial(
-    names: Sequence[str],
-    indices: Sequence[int],
-    results: dict[int, "BenchmarkOutcome | FailedOutcome"],
-    attempts: dict[int, int],
-    cache_dir: str | None,
-    analyze_fn,
-    timeout: float | None,
-    retries: int,
-    backoff: float,
-    fail_fast: bool,
-) -> None:
-    """Resolve *indices* in-process, honoring retry/timeout/fail-fast.
-
-    Shared by the ``parallel=False`` path (all indices) and the broken-pool
-    degradation path (whatever the pool left unresolved); attempts already
-    consumed by the pool count against each program's retry budget.
-    """
-    for i in indices:
-        results[i] = run_one(
-            names[i],
-            cache_dir,
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            analyze_fn=analyze_fn,
-            prior_attempts=attempts.get(i, 0),
-        )
-        if fail_fast and isinstance(results[i], FailedOutcome):
-            return
-
-
-def _analyze_parallel(
-    names: Sequence[str],
-    max_workers: int,
-    cache_dir: str | None,
-    analyze_fn,
-    timeout: float | None,
-    retries: int,
-    backoff: float,
-    fail_fast: bool,
-    results: dict[int, "BenchmarkOutcome | FailedOutcome"],
-    attempts: dict[int, int],
-) -> None:
-    """Fan *names* over a process pool with per-future fault isolation.
-
-    Raises :class:`BrokenProcessPool` (after shutting the pool down) when
-    the executor itself dies; the caller degrades to the serial path for
-    everything still missing from *results*.
-    """
-    pool = ProcessPoolExecutor(max_workers=max_workers)
-    pending: dict[Future, int] = {}
-
-    def submit(i: int) -> None:
-        attempts[i] = attempts.get(i, 0) + 1
-        pending[pool.submit(_pool_task, analyze_fn, names[i], cache_dir, timeout)] = i
-
-    try:
-        for i in range(len(names)):
-            submit(i)
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            stop = False
-            for fut in done:
-                i = pending.pop(fut)
-                try:
-                    results[i] = fut.result()
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:
-                    if attempts[i] <= retries:
-                        time.sleep(_backoff_delay(backoff, attempts[i]))
-                        submit(i)
-                        continue
-                    results[i] = failure_record(names[i], exc, attempts[i])
-                    if fail_fast:
-                        stop = True
-            if stop:
-                for fut in pending:
-                    fut.cancel()
-                pending.clear()
-    finally:
-        # A worker that outlived its timeout may still hold a slot; don't
-        # block result delivery on it.
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def analyze_registry(
@@ -540,14 +434,16 @@ def analyze_registry(
     (custom ``analyze_fn`` callables that never see a non-default engine
     are unaffected).
 
-    Fault tolerance: a program whose analysis raises or exceeds *timeout*
-    seconds occupies its result slot as a :class:`FailedOutcome` after
-    ``1 + retries`` attempts (exponential backoff, ``backoff * 2**n``
-    seconds between runs); the rest of the sweep is unaffected.  With
-    ``fail_fast=True`` the sweep stops at the first exhausted failure and
-    returns only the entries resolved by then (still in *names* order).
+    Fault tolerance: every program runs under :func:`run_one`, in a pool
+    worker or in this process.  A program whose analysis raises or exceeds
+    *timeout* seconds occupies its result slot as a :class:`FailedOutcome`
+    after ``1 + retries`` attempts; the rest of the sweep is unaffected.
+    With ``fail_fast=True`` the sweep stops at the first exhausted failure
+    and returns only the entries resolved by then (still in *names* order).
     If the pool itself breaks mid-sweep, every unresolved program is re-run
-    serially in this process — completed outcomes are kept either way.
+    in this process, counted as having used one attempt in the pool —
+    retries a dead worker consumed are not visible here.  Completed
+    outcomes are kept either way.
     """
     if names is None:
         from repro.bench_programs.registry import all_benchmarks
@@ -556,29 +452,48 @@ def analyze_registry(
     if not names:
         return []
     if engine != "compiled":
-        # functools.partial of a top-level function stays picklable, so the
-        # wrapped callable crosses the process-pool boundary intact.
         analyze_fn = functools.partial(analyze_fn, engine=engine)
-
+    # A functools.partial of top-level functions stays picklable, so the
+    # whole per-program policy crosses the process-pool boundary intact.
+    run = functools.partial(
+        run_one,
+        cache_dir=cache_dir,
+        timeout=timeout,
+        retries=retries,
+        backoff=backoff,
+        analyze_fn=analyze_fn,
+    )
     results: dict[int, BenchmarkOutcome | FailedOutcome] = {}
-    attempts: dict[int, int] = {}
     if parallel:
         if max_workers is None:
             max_workers = default_max_workers(len(names))
+        pool = ProcessPoolExecutor(max_workers=max_workers)
         try:
-            _analyze_parallel(
-                names, max_workers, cache_dir, analyze_fn,
-                timeout, retries, backoff, fail_fast, results, attempts,
-            )
+            futures = {pool.submit(run, name): i for i, name in enumerate(names)}
+            for future in as_completed(futures):
+                i = futures[future]
+                try:
+                    results[i] = future.result()
+                except BrokenProcessPool:
+                    raise
+                except Exception as exc:
+                    # The callable or its outcome could not cross the
+                    # process boundary (e.g. an unpicklable result).
+                    results[i] = failure_record(names[i], exc, 1)
+                if fail_fast and isinstance(results[i], FailedOutcome):
+                    break
+            return [results[i] for i in sorted(results)]
         except BrokenProcessPool:
-            unresolved = [i for i in range(len(names)) if i not in results]
-            _analyze_serial(
-                names, unresolved, results, attempts, cache_dir,
-                analyze_fn, timeout, retries, backoff, fail_fast,
-            )
-    else:
-        _analyze_serial(
-            names, range(len(names)), results, attempts, cache_dir,
-            analyze_fn, timeout, retries, backoff, fail_fast,
-        )
+            # Retries a dead worker consumed never reach this process, so
+            # each program the pool left unresolved counts one attempt.
+            run = functools.partial(run, prior_attempts=1)
+        finally:
+            # A worker that outlived its timeout may still hold a slot;
+            # don't block result delivery on it.
+            pool.shutdown(wait=False, cancel_futures=True)
+    for i, name in enumerate(names):
+        if i not in results:
+            results[i] = run(name)
+            if fail_fast and isinstance(results[i], FailedOutcome):
+                break
     return [results[i] for i in sorted(results)]

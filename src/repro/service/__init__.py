@@ -1,53 +1,11 @@
-"""Long-lived analysis service: job store, execution backends, HTTP daemon.
+"""Long-lived analysis service: job store, executor, HTTP daemon.
 
 Turns the one-shot CLI pipeline into a queueing system: ``repro serve``
-starts an :class:`AnalysisService` (a durable, digest-coalescing
-:class:`~repro.service.jobs.JobStore` fed by HTTP submissions and drained
-by the bounded :class:`~repro.service.executor.AnalysisExecutor` pool
-through a pluggable :class:`~repro.service.backends.ExecutionBackend` —
-``thread`` or ``process`` — over a shared profile cache), and
-:class:`~repro.service.client.ServiceClient` / ``repro submit|jobs|result``
-talk to it.  See ``docs/service.md``.
+starts an :class:`~repro.service.server.AnalysisService` (a durable,
+digest-coalescing :class:`~repro.service.jobs.JobStore` fed by HTTP
+submissions and drained by the bounded
+:class:`~repro.service.executor.AnalysisExecutor`, which runs each job in
+a claimer thread or on its own process pool over a shared profile cache),
+and :class:`~repro.service.client.ServiceClient` /
+``repro submit|jobs|result`` talk to it.  See ``docs/service.md``.
 """
-
-from repro.service.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    ThreadBackend,
-    execute_job,
-    make_backend,
-)
-from repro.service.client import ServiceClient, ServiceError, default_service_url
-from repro.service.executor import AnalysisExecutor
-from repro.service.jobs import (
-    JOB_KINDS,
-    Job,
-    JobStore,
-    QueueFull,
-    build_call_args,
-    job_digest,
-)
-from repro.service.server import AnalysisService
-from repro.service.store import SqliteJobLog
-
-__all__ = [
-    "AnalysisExecutor",
-    "AnalysisService",
-    "BACKENDS",
-    "ExecutionBackend",
-    "Job",
-    "JobStore",
-    "JOB_KINDS",
-    "ProcessBackend",
-    "QueueFull",
-    "ServiceClient",
-    "ServiceError",
-    "SqliteJobLog",
-    "ThreadBackend",
-    "build_call_args",
-    "default_service_url",
-    "execute_job",
-    "job_digest",
-    "make_backend",
-]

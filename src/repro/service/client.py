@@ -140,18 +140,32 @@ class ServiceClient:
                 payload=doc,
             ) from None
 
-    def _submit(self, body: dict[str, Any]) -> dict:
-        """POST a submission, absorbing 429s per the server's hints."""
+    def _submit(self, body: dict[str, Any] | list[dict[str, Any]]) -> dict:
+        """POST a job object or a batch array, absorbing 429s per the
+        server's ``Retry-After`` hints up to :attr:`retry_limit` times.
+
+        A batch's 429 carries the records admitted before the queue filled
+        (``accepted``); they are kept, never resubmitted, and only the
+        tail is posted again.  A batch answers ``{"jobs": [...]}`` with
+        one record per body in order; a single job answers its record.
+        """
+        accepted: list[dict] = []
         attempts = 0
         while True:
             try:
-                return self._request("POST", "/v1/jobs", body)
+                doc = self._request("POST", "/v1/jobs", body)
             except ServiceError as exc:
                 if exc.status != 429 or attempts >= self.retry_limit:
                     raise
+                admitted = exc.payload.get("accepted", [])
+                if admitted:
+                    accepted.extend(admitted)
+                    body = body[len(admitted):]
                 attempts += 1
                 hint = exc.retry_after if exc.retry_after is not None else 1.0
                 time.sleep(max(0.0, min(hint, self.retry_after_cap)))
+                continue
+            return {"jobs": accepted + doc["jobs"]} if accepted else doc
 
     # -- service-level ---------------------------------------------------
 
@@ -249,24 +263,9 @@ class ServiceClient:
             item = dict(body)
             item.setdefault("correlation_id", new_correlation_id())
             pending.append(item)
-        records: list[dict] = []
         if not pending:
-            return records
-        attempts = 0
-        while True:
-            try:
-                doc = self._request("POST", "/v1/jobs", pending)
-                records.extend(doc["jobs"])
-                return records
-            except ServiceError as exc:
-                if exc.status != 429 or attempts >= self.retry_limit:
-                    raise
-                accepted = exc.payload.get("accepted", [])
-                records.extend(accepted)
-                pending = pending[len(accepted):]
-                attempts += 1
-                hint = exc.retry_after if exc.retry_after is not None else 1.0
-                time.sleep(max(0.0, min(hint, self.retry_after_cap)))
+            return []
+        return self._submit(pending)["jobs"]
 
     # -- job queries -----------------------------------------------------
 

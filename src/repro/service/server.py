@@ -4,8 +4,8 @@ Built on :class:`http.server.ThreadingHTTPServer` (stdlib only); request
 threads just enqueue into / read from the shared
 :class:`~repro.service.jobs.JobStore`, so submissions return immediately
 with ``202 Accepted`` while the bounded worker pool drains the queue
-through the configured execution backend (``thread`` or ``process`` —
-see :mod:`repro.service.backends`).
+through the configured backend (``thread`` or ``process`` — see
+:mod:`repro.service.executor`).
 
 Endpoints (all JSON):
 
@@ -49,7 +49,8 @@ accepted/coalesced/rejected tallies and ``/v1/metrics`` exposes them as
 
 Error responses are ``{"error": <message>}`` with the usual status codes
 (400 malformed submission, 404 unknown job/route, 409 not cancellable,
-429 queue full, 500 unexpected handler failure — never an HTML traceback).
+413 body over :data:`MAX_BODY_BYTES`, 429 queue full, 500 unexpected
+handler failure — never an HTML traceback).
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ from urllib.parse import parse_qs, urlparse
 from repro import __version__
 from repro.obs.metrics import get_registry
 from repro.patterns.schema import SCHEMA_VERSION
-from repro.profiling.cache import ProfileCache
-from repro.service.backends import BACKENDS
 from repro.service.executor import AnalysisExecutor
 from repro.service.jobs import JOB_KINDS, JobStore, QueueFull
 
@@ -74,6 +73,10 @@ from repro.service.jobs import JOB_KINDS, JobStore, QueueFull
 #: long tail aggregates under ``_other`` so a client-id cardinality attack
 #: cannot balloon daemon memory or scrape size.
 MAX_TRACKED_CLIENTS = 64
+
+#: Largest ``POST /v1/jobs`` body the daemon reads; a larger declared
+#: ``Content-Length`` is answered 413 before any of the body is read.
+MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
 class AnalysisService:
@@ -85,9 +88,10 @@ class AnalysisService:
     :meth:`start_background`; either way :meth:`shutdown` stops the HTTP
     loop and the workers.
 
-    *backend* selects the execution backend (:data:`BACKENDS`); *db_path*
-    makes the job store durable across restarts (sqlite, WAL); *max_queue*
-    arms admission control (queue at bound → 429 + ``Retry-After``).
+    *backend* says where jobs run (one of
+    :data:`~repro.service.executor.BACKENDS`); *db_path* makes the job
+    store durable across restarts (sqlite, WAL); *max_queue* arms
+    admission control (queue at bound → 429 + ``Retry-After``).
     """
 
     def __init__(
@@ -95,7 +99,6 @@ class AnalysisService:
         host: str = "127.0.0.1",
         port: int = 8765,
         workers: int = 2,
-        cache: ProfileCache | None = None,
         cache_dir: str | None = None,
         max_history: int = 256,
         jsonl_path: str | None = None,
@@ -105,8 +108,6 @@ class AnalysisService:
         db_path: str | None = None,
         max_queue: int | None = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {list(BACKENDS)}, got {backend!r}")
         self.store = JobStore(
             max_history=max_history,
             jsonl_path=jsonl_path,
@@ -117,13 +118,11 @@ class AnalysisService:
         self.executor = AnalysisExecutor(
             self.store,
             workers=workers,
-            cache=cache,
             cache_dir=cache_dir,
             timeout=timeout,
             retries=retries,
             backend=backend,
         )
-        self.backend = backend
         self.started_at = time.time()
         self._client_lock = threading.Lock()
         self._clients: dict[str, dict[str, int]] = {}
@@ -338,7 +337,7 @@ class AnalysisService:
             clients = {name: dict(t) for name, t in self._clients.items()}
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
-            "backend": self.backend,
+            "backend": self.executor.backend,
             "jobs": self.store.counts(),
             "admission": {
                 "max_queue": self.store.max_queue,
@@ -495,6 +494,16 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(raw_length)
+            if length > MAX_BODY_BYTES:
+                # Refuse without reading: the unread body leaves the
+                # connection unusable, so it closes after this answer.
+                self._error(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_BODY_BYTES}-byte limit",
+                    headers={"Connection": "close"},
+                )
+                return
             body = json.loads(self.rfile.read(length) or b"{}")
             if isinstance(body, list):
                 self._post_batch(body)

@@ -30,13 +30,6 @@ class ThreadSweep:
 def sweep_threads(
     speedup_at: Callable[[int], float],
     thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS,
-    map_fn: Callable[[Callable[[int], float], Sequence[int]], Sequence[float]] = map,
 ) -> ThreadSweep:
-    """Evaluate *speedup_at* over *thread_counts*.
-
-    *map_fn* lets callers fan the (independent) evaluations out — e.g.
-    ``ProcessPoolExecutor.map`` from :mod:`repro.runtime.parallel`.  Results
-    keep the order of *thread_counts* regardless of completion order.
-    """
-    speedups = [float(s) for s in map_fn(speedup_at, thread_counts)]
-    return ThreadSweep(speedups=dict(zip(thread_counts, speedups)))
+    """Evaluate *speedup_at* at each of *thread_counts*."""
+    return ThreadSweep(speedups={p: float(speedup_at(p)) for p in thread_counts})

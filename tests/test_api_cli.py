@@ -43,15 +43,21 @@ class TestApi:
         assert result.profile.runs == 2
 
     def test_import_does_not_load_the_service(self):
-        code = (
-            "import sys, repro; "
-            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        ).stdout
-        assert out.strip() == "[]"
+        def loaded(module, prefixes):
+            code = (
+                f"import sys, {module}; "
+                f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+            )
+            return subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            ).stdout.strip()
+
+        assert loaded("repro", ("repro.service",)) == "[]"
+        # the job helpers (build_call_args) do not pull in the daemon
+        assert loaded(
+            "repro.service.jobs", ("repro.service.server", "http.server")
+        ) == "[]"
 
 
 class TestCli:

@@ -77,21 +77,6 @@ int count(int A[], int n) {
 
 
 class TestSweepMapFn:
-    def test_custom_map_preserves_thread_count_order(self):
-        calls = []
-
-        def speedup_at(p: int) -> float:
-            calls.append(p)
-            return float(p)
-
-        def reversed_map(fn, items):
-            # deliver results out of submission order, like a pool might
-            return list(reversed([fn(i) for i in reversed(list(items))]))
-
-        sweep = sweep_threads(speedup_at, thread_counts=(1, 2, 4), map_fn=reversed_map)
-        assert sweep.as_rows() == [(1, 1.0), (2, 2.0), (4, 4.0)]
-        assert sweep.best_threads == 4
-
     def test_default_map_unchanged(self):
         sweep = sweep_threads(lambda p: 1.0 + np.log2(p), thread_counts=(1, 2))
         assert sweep.best_threads == 2

@@ -8,6 +8,7 @@ carry real, digest-checkable outcomes.
 
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -51,6 +52,12 @@ def _always_fail(name, cache_dir=None):
     raise RuntimeError(f"injected persistent failure for {name}")
 
 
+def _lock_on_marker(name, cache_dir=None):
+    if name == "lock":
+        return threading.Lock()  # cannot be pickled back to the parent
+    return analyze_one(name, cache_dir)
+
+
 def _exit_in_pool_child(name, cache_dir=None):
     if name == "kaboom":
         if multiprocessing.parent_process() is not None:
@@ -87,6 +94,19 @@ class TestWorkerCrash:
         assert isinstance(failure, FailedOutcome)
         assert failure.error_type == "KeyError"
         assert "no_such_benchmark" in failure.message
+
+    def test_unpicklable_outcome_fills_its_slot(self):
+        """An outcome that cannot cross the process boundary is a failure
+        in its own slot, not an exception out of the sweep."""
+        outcomes = analyze_registry(
+            [GOOD, "lock", OTHER], parallel=True, retries=0, analyze_fn=_lock_on_marker
+        )
+        good, lock, other = outcomes
+        assert isinstance(lock, FailedOutcome)
+        assert lock.error_type == "TypeError"
+        assert lock.attempts == 1
+        assert isinstance(good, BenchmarkOutcome)
+        assert isinstance(other, BenchmarkOutcome)
 
     def test_serial_and_parallel_agree_on_failures(self):
         serial = analyze_registry(

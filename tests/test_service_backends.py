@@ -1,4 +1,4 @@
-"""Execution backends: thread/process parity, timeouts, degradation."""
+"""Where daemon jobs run: thread/process parity, timeouts, degradation."""
 
 import io
 import json
@@ -11,15 +11,9 @@ from repro.patterns.schema import SCHEMA_VERSION, strip_trace_timings
 from repro.profiling.cache import ProfileCache
 from repro.profiling.serialize import canonical_json
 from repro.runtime.parallel import FailedOutcome
-from repro.service.backends import (
-    BACKENDS,
-    ProcessBackend,
-    ThreadBackend,
-    execute_job,
-    make_backend,
-)
 from repro.service.client import ServiceClient
-from repro.service.jobs import Job
+from repro.service.executor import BACKENDS, AnalysisExecutor, execute_job
+from repro.service.jobs import Job, JobStore
 from repro.service.server import AnalysisService
 
 #: Everything here drives a live daemon or worker pool: excluded from the
@@ -60,6 +54,13 @@ def _source_payload(**extra):
     return {"source": SRC, "entry": "total", "args": SRC_ARGS, "seed": 0, **extra}
 
 
+def _executor(tmp_path, backend, **kw):
+    """An executor that is never started: tests call :meth:`run` directly."""
+    return AnalysisExecutor(
+        JobStore(), cache_dir=str(tmp_path / f"cache-{backend}"), backend=backend, **kw
+    )
+
+
 @pytest.fixture
 def process_service(tmp_path):
     svc = AnalysisService(
@@ -76,18 +77,16 @@ def process_service(tmp_path):
 
 class TestBackendFactory:
     def test_known_backends(self, tmp_path):
-        cache = ProfileCache(root=str(tmp_path / "cache"))
-        assert isinstance(make_backend("thread", cache), ThreadBackend)
-        process = make_backend("process", cache, workers=1)
-        assert isinstance(process, ProcessBackend)
-        process.shutdown()
         assert set(BACKENDS) == {"thread", "process"}
+        for name in BACKENDS:
+            executor = _executor(tmp_path, name, workers=1)
+            assert executor.backend == name
+            executor.shutdown()
 
     def test_unknown_backend_rejected(self, tmp_path):
-        cache = ProfileCache(root=str(tmp_path / "cache"))
         with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("fiber", cache)
-        with pytest.raises(ValueError, match="backend"):
+            _executor(tmp_path, "fiber")
+        with pytest.raises(ValueError, match="unknown backend"):
             AnalysisService(port=0, backend="fiber")
 
 
@@ -96,12 +95,11 @@ class TestBackendParity:
         """The backend moves work, not meaning: identical documents out."""
         results = {}
         for name in BACKENDS:
-            cache = ProfileCache(root=str(tmp_path / f"cache-{name}"))
-            backend = make_backend(name, cache, workers=1)
+            executor = _executor(tmp_path, name, workers=1)
             try:
-                outcome = backend.run(Job(id=1, kind="source", payload=_source_payload()))
+                outcome = executor.run(Job(id=1, kind="source", payload=_source_payload()))
             finally:
-                backend.shutdown()
+                executor.shutdown()
             assert not isinstance(outcome, FailedOutcome)
             result, info = outcome
             assert info["profile_cache_hit"] is False
@@ -153,7 +151,10 @@ class TestProcessBackendBehavior:
             SLOW_SRC, entry="mm", args=SLOW_ARGS, timeout=0.2
         )
         record = client.wait(job["id"], timeout=120.0)
-        assert record["state"] == "failed"
+        # the record's info and timestamps say how a job outran its timer
+        assert record["state"] == "failed", json.dumps(
+            {k: v for k, v in record.items() if k != "result"}, sort_keys=True
+        )
         assert record["error"]["error_type"] == "AnalysisTimeout"
 
     def test_worker_cache_stats_reach_daemon_metrics(self, process_service):
@@ -175,21 +176,27 @@ class TestProcessBackendBehavior:
     def test_broken_pool_degrades_to_in_thread_execution(self, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
 
-        cache = ProfileCache(root=str(tmp_path / "cache"))
-        backend = ProcessBackend(cache, workers=1)
-        try:
-            def explode(job, queue_wait_s):
+        class DeadPool:
+            """A pool whose worker was killed under the job."""
+
+            def submit(self, *args, **kwargs):
                 raise BrokenProcessPool("pool died under the job")
 
-            backend._submit = explode
-            outcome = backend.run(Job(id=1, kind="source", payload=_source_payload()))
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        executor = _executor(tmp_path, "process", workers=1)
+        try:
+            executor._pool = DeadPool()
+            outcome = executor.run(Job(id=1, kind="source", payload=_source_payload()))
             assert not isinstance(outcome, FailedOutcome)
             result, info = outcome
             assert info["backend_degraded"] is True
-            assert backend.degraded == 1
+            assert executor.degraded == 1
+            assert executor._pool is None  # rebuilt lazily for the next job
             assert result["schema_version"] == SCHEMA_VERSION
         finally:
-            backend.shutdown()
+            executor.shutdown()
 
 
 class TestExecuteJob:

@@ -436,6 +436,27 @@ class TestValidation:
             conn.close()
 
 
+    def test_oversize_body_is_413_and_daemon_keeps_serving(self, service, client):
+        # declared, never sent: the daemon must answer from the header alone
+        import http.client
+
+        from repro.service.server import MAX_BODY_BYTES
+
+        conn = http.client.HTTPConnection(service.host, service.port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/jobs", skip_accept_encoding=True)
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 413
+            assert "exceeds" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        job = client.submit_source(SRC, entry="total", args=SRC_ARGS)
+        assert client.wait(job["id"], timeout=60.0)["state"] == "done"
+
+
 class TestRetryAfterParsing:
     """Client-side ``Retry-After`` leniency (RFC 9110: server sends ints)."""
 
