@@ -492,7 +492,11 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 # -- service commands ----------------------------------------------------
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the analysis daemon until interrupted (SIGINT exits cleanly)."""
+    """Run the analysis daemon until SIGINT or SIGTERM; either one shuts it
+    down cleanly (in-flight jobs finish, pool workers exit)."""
+    import os
+    import signal
+
     from repro.service.server import AnalysisService
 
     corpus_note = ""
@@ -522,6 +526,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         + ")",
         flush=True,
     )
+    daemon_pid = os.getpid()
+
+    def on_sigterm(signum, frame):
+        if os.getpid() != daemon_pid:
+            # A pool worker forked after this handler was installed: die
+            # the way SIGTERM's default action would have killed it.
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, on_sigterm)
     try:
         service.serve_forever()
     except KeyboardInterrupt:

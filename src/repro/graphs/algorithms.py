@@ -3,14 +3,15 @@
 * ``has_path`` — the barrier-parallelism test of Section III-B ("we check
   for a directed path from one barrier to the other").
 * ``critical_path`` — the weighted longest path used for the estimated
-  speedup metric (Table V).
+  speedup metric (Table V); ``path_order`` / ``longest_path`` split it into
+  its weight-independent half and the weighted pass.
 * ``strongly_connected_components`` / ``topological_sort`` — support for
   cycle handling when dynamic dependences induce back edges.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Callable, Hashable, NamedTuple
 
 from repro.graphs.digraph import DiGraph
 
@@ -119,41 +120,60 @@ def condensation(graph: DiGraph) -> tuple[DiGraph, dict[Hashable, int]]:
     return dag, comp_of
 
 
-def critical_path(
-    graph: DiGraph, weight: Callable[[Hashable], float]
-) -> tuple[float, list[Hashable]]:
-    """Heaviest node-weighted path through a DAG.
+class PathOrder(NamedTuple):
+    """The weight-independent half of :func:`critical_path`.
 
-    Returns ``(total weight, path)``.  If the graph has cycles (possible
-    when dynamic dependences flow both ways between two CUs), each cycle is
-    collapsed to a super-node whose weight is the sum of its members — the
-    members must execute sequentially anyway.
+    ``order`` lists the nodes topologically.  When the graph has cycles
+    (possible when dynamic dependences flow both ways between two CUs), each
+    strongly connected component is one super-node of ``order`` and
+    ``members`` maps it to the graph nodes it stands for; ``members`` is
+    ``None`` for an acyclic graph.  ``successors`` holds each super-node's
+    out-edges.  Computed once, it serves any number of weightings.
     """
-    if len(graph) == 0:
-        return 0.0, []
+
+    order: list[Hashable]
+    successors: dict[Hashable, list[Hashable]]
+    members: dict[Hashable, list[Hashable]] | None
+
+
+def path_order(graph: DiGraph) -> PathOrder:
+    """Topological order of *graph*, with its cycles condensed."""
     try:
         order = topological_sort(graph)
-        node_weight = weight
-        succ = graph.successors
-        members: dict[Hashable, list[Hashable]] = {n: [n] for n in graph.nodes()}
+        dag, members = graph, None
     except ValueError:
         dag, comp_of = condensation(graph)
-        groups: dict[int, list[Hashable]] = {}
+        members = {}
         for node, cid in comp_of.items():
-            groups.setdefault(cid, []).append(node)
+            members.setdefault(cid, []).append(node)
         order = topological_sort(dag)
-        node_weight = lambda cid: sum(weight(n) for n in groups[cid])  # noqa: E731
-        succ = dag.successors
-        members = {cid: groups[cid] for cid in groups}
+    return PathOrder(order, {n: dag.successors(n) for n in order}, members)
 
+
+def longest_path(
+    order: PathOrder, weight: Callable[[Hashable], float]
+) -> tuple[float, list[Hashable]]:
+    """Heaviest node-weighted path through *order*'s DAG.
+
+    Returns ``(total weight, path)``; a condensed cycle weighs the sum of
+    its members (they must execute sequentially anyway) and contributes all
+    of them to the path.
+    """
+    members = order.members
+    if members is None:
+        node_weight = {n: weight(n) for n in order.order}
+    else:
+        node_weight = {c: sum(weight(n) for n in members[c]) for c in order.order}
+    if not node_weight:
+        return 0.0, []
     best: dict[Hashable, float] = {}
     back: dict[Hashable, Hashable | None] = {}
-    for node in order:
+    for node in order.order:
         if node not in best:
-            best[node] = node_weight(node)
+            best[node] = node_weight[node]
             back[node] = None
-        for nxt in succ(node):
-            cand = best[node] + node_weight(nxt)
+        for nxt in order.successors[node]:
+            cand = best[node] + node_weight[nxt]
             if cand > best.get(nxt, float("-inf")):
                 best[nxt] = cand
                 back[nxt] = node
@@ -161,10 +181,21 @@ def critical_path(
     path: list[Hashable] = []
     cursor: Hashable | None = end
     while cursor is not None:
-        path.extend(reversed(members[cursor]))
+        path.extend([cursor] if members is None else reversed(members[cursor]))
         cursor = back[cursor]
     path.reverse()
     return best[end], path
+
+
+def critical_path(
+    graph: DiGraph, weight: Callable[[Hashable], float]
+) -> tuple[float, list[Hashable]]:
+    """Heaviest node-weighted path through *graph*: ``(total weight, path)``.
+
+    :func:`path_order` then :func:`longest_path`; callers that weigh one
+    graph many ways compute the order once.
+    """
+    return longest_path(path_order(graph), weight)
 
 
 def longest_path_length(graph: DiGraph) -> int:

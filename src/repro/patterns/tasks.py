@@ -14,9 +14,10 @@ The *estimated speedup* of Table V is total instructions divided by
 critical-path instructions.  For non-recursive regions we take the weighted
 critical path through the CU graph directly.  For recursive hotspots
 (fib/sort/strassen) the meaningful critical path is the *span* of the
-dynamic task tree: we recurse over the recorded call tree, replacing each
-recursive call CU's weight by the span of the child activation, and take
-the CU-graph critical path per activation.
+dynamic task tree: we go bottom-up over the recorded call tree, replacing
+each recursive call CU's weight by the span of the child activation, and
+take the CU-graph critical path per activation (per distinct activation
+shape; the CU graph's topological order is computed once).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from collections import deque
 from repro.cu.detect import detect_cus
 from repro.cu.graph import build_cu_graph, cu_weight
 from repro.cu.model import CU
-from repro.graphs.algorithms import critical_path, has_path
+from repro.graphs.algorithms import PathOrder, has_path, longest_path, path_order
 from repro.graphs.digraph import DiGraph
 from repro.lang.analysis import is_recursive
 from repro.lang.ast_nodes import Program
@@ -119,71 +120,112 @@ def _barrier_inputs(graph: DiGraph, marks: dict[int, str]) -> dict[int, list[int
     }
 
 
-def _recursive_span(
-    profile: Profile,
-    program: Program,
-    region: int,
-    cus: list[CU],
-    graph: DiGraph,
-) -> tuple[float, float] | None:
-    """(work, span) over the dynamic task tree of a recursive hotspot."""
-    if profile.calltree is None:
-        return None
-    roots = [n for n in profile.calltree.walk() if n.region == region]
-    if not roots:
-        return None
-    # Top-most activation of the region:
-    root = roots[0]
+def _cu_cost_shares(
+    profile: Profile, cus: list[CU]
+) -> tuple[dict[int, int], dict[int, int], int]:
+    """(site line -> CU, CU -> aggregate direct line cost, their total).
 
+    An activation's exclusive cost is distributed across CUs in proportion
+    to their aggregate direct line costs.
+    """
     line_to_cu: dict[int, int] = {}
     for cu in cus:
         for line in cu.lines:
             line_to_cu.setdefault(line, cu.cu_id)
-    # Distribute an activation's exclusive cost across CUs proportionally to
-    # their aggregate direct line costs.
     agg_excl = {
         cu.cu_id: sum(profile.line_costs.get(line, 0) for line in cu.lines)
         for cu in cus
     }
-    total_excl = sum(agg_excl.values()) or 1
+    return line_to_cu, agg_excl, sum(agg_excl.values()) or 1
 
-    span_cache: dict[int, float] = {}
 
-    def span_of(act: CallNode) -> float:
-        if act.act_id in span_cache:
-            return span_cache[act.act_id]
-        if act.region != region:
-            # Non-self activations are treated as sequential black boxes.
-            span_cache[act.act_id] = float(act.inclusive_cost)
-            return float(act.inclusive_cost)
+def _cu_span(
+    order: PathOrder,
+    cus: list[CU],
+    agg_excl: dict[int, int],
+    total_excl: int,
+    exclusive_cost: int,
+    child_span: dict[int, float],
+) -> float:
+    """Critical path of one activation: each CU weighs its share of the
+    activation's exclusive cost plus the spans of the children its call
+    sites started."""
+
+    def weight(cu_id: int) -> float:
+        local = exclusive_cost * agg_excl.get(cu_id, 0) / total_excl
+        return local + child_span.get(cu_id, 0.0)
+
+    value, _ = longest_path(order, weight)
+    # CUs not on any path still execute; ensure span >= heaviest CU.
+    return max(value, max((weight(c.cu_id) for c in cus), default=0.0))
+
+
+def _recursive_span(
+    profile: Profile,
+    region: int,
+    cus: list[CU],
+    order: PathOrder,
+) -> tuple[float, float] | None:
+    """(work, span) over the dynamic task tree of a recursive hotspot.
+
+    An activation's span is the critical path through the CU graph with
+    each CU weighted by its share of the activation's exclusive cost plus
+    the spans of the child activations its call sites started (a child of
+    another region is a sequential black box: its inclusive cost).  That
+    is a pure function of the activation's *shape* — exclusive cost,
+    inclusive cost and the per-CU child spans — and recursion repeats
+    shapes (every ``fib(k)`` for one ``k``), so spans are memoized on it.
+    The tree is traversed post-order with an explicit stack, because it is
+    as deep as the program's recursion.
+    """
+    activations = profile.activations(region)
+    if not activations:
+        return None
+    # Top-most activation of the region:
+    root = activations[0]
+    if not order.order:
+        return float(root.inclusive_cost), float(root.inclusive_cost)
+    line_to_cu, agg_excl, total_excl = _cu_cost_shares(profile, cus)
+
+    memo: dict[tuple, float] = {}
+    spans: dict[int, float] = {}  # id(activation) -> span, until its parent reads it
+    stack: list[tuple[CallNode, bool]] = [(root, False)]
+    while stack:
+        act, children_done = stack.pop()
+        if not children_done:
+            stack.append((act, True))
+            stack.extend(
+                (child, False)
+                for child in act.children
+                if child.region == region and child.site_line in line_to_cu
+            )
+            continue
         child_span: dict[int, float] = {}
         for child in act.children:
             cu_id = line_to_cu.get(child.site_line)
             if cu_id is None:
                 continue
-            child_span[cu_id] = child_span.get(cu_id, 0.0) + span_of(child)
-
-        def weight(cu_id: int) -> float:
-            local = act.exclusive_cost * agg_excl.get(cu_id, 0) / total_excl
-            return local + child_span.get(cu_id, 0.0)
-
-        if len(graph) == 0:
-            value = float(act.inclusive_cost)
-        else:
-            value, _ = critical_path(graph, weight)
-            # CUs not on any path still execute; ensure span >= heaviest CU.
-            value = max(value, max((weight(c.cu_id) for c in cus), default=0.0))
-        span_cache[act.act_id] = value
-        return value
-
-    return float(root.inclusive_cost), span_of(root)
+            span = (
+                spans.pop(id(child))
+                if child.region == region
+                else float(child.inclusive_cost)
+            )
+            child_span[cu_id] = child_span.get(cu_id, 0.0) + span
+        shape = (act.exclusive_cost, act.inclusive_cost, tuple(child_span.items()))
+        value = memo.get(shape)
+        if value is None:
+            value = memo[shape] = _cu_span(
+                order, cus, agg_excl, total_excl, act.exclusive_cost, child_span
+            )
+        spans[id(act)] = value
+    return float(root.inclusive_cost), spans[id(root)]
 
 
 def _single_step(
     profile: Profile,
     region: int,
     cus: list[CU],
-    graph: DiGraph,
+    order: PathOrder,
 ) -> tuple[int, int] | None:
     """(total, critical path) for the top activation, recursion unexpanded.
 
@@ -191,37 +233,21 @@ def _single_step(
     block assigned to the call-site CU — the paper's "only one recursive
     step" semantics.
     """
-    if profile.calltree is None:
+    activations = profile.activations(region)
+    if not activations:
         return None
-    roots = [n for n in profile.calltree.walk() if n.region == region]
-    if not roots:
-        return None
-    root = roots[0]
-    line_to_cu: dict[int, int] = {}
-    for cu in cus:
-        for line in cu.lines:
-            line_to_cu.setdefault(line, cu.cu_id)
-    agg_excl = {
-        cu.cu_id: sum(profile.line_costs.get(line, 0) for line in cu.lines)
-        for cu in cus
-    }
-    total_excl = sum(agg_excl.values()) or 1
+    root = activations[0]
+    total = root.inclusive_cost
+    if not order.order:
+        return int(total), int(total)
+    line_to_cu, agg_excl, total_excl = _cu_cost_shares(profile, cus)
     child_cost: dict[int, float] = {}
     for child in root.children:
         cu_id = line_to_cu.get(child.site_line)
         if cu_id is None:
             continue
         child_cost[cu_id] = child_cost.get(cu_id, 0.0) + child.inclusive_cost
-
-    def weight(cu_id: int) -> float:
-        local = root.exclusive_cost * agg_excl.get(cu_id, 0) / total_excl
-        return local + child_cost.get(cu_id, 0.0)
-
-    total = root.inclusive_cost
-    if len(graph) == 0:
-        return int(total), int(total)
-    cp, _ = critical_path(graph, weight)
-    cp = max(cp, max((weight(c.cu_id) for c in cus), default=0.0))
+    cp = _cu_span(order, cus, agg_excl, total_excl, root.exclusive_cost, child_cost)
     return int(total), int(round(cp))
 
 
@@ -254,22 +280,23 @@ def detect_task_parallelism(
         and is_recursive(program.function(reg.function), program)
     )
 
+    order = path_order(graph)
     work_span: tuple[float, float] | None = None
     if recursive:
-        work_span = _recursive_span(profile, program, region, cus, graph)
+        work_span = _recursive_span(profile, region, cus, order)
     if work_span is None:
         total = sum(weights.values())
         if len(graph) and total > 0:
-            span, path = critical_path(graph, lambda cu: weights[cu])
+            span, path = longest_path(order, lambda cu: weights[cu])
             span = max(span, max(weights.values(), default=0.0))
         else:
             span, path = total, [cu.cu_id for cu in cus]
         work, span_value, cp = total, span, path
     else:
         work, span_value = work_span
-        _, cp = critical_path(graph, lambda cu: weights.get(cu, 0.0)) if len(graph) else (0.0, [])
+        _, cp = longest_path(order, lambda cu: weights.get(cu, 0.0))
 
-    single = _single_step(profile, region, cus, graph)
+    single = _single_step(profile, region, cus, order)
     return TaskParallelism(
         region=region,
         cus=cus,

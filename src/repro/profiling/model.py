@@ -8,7 +8,7 @@ different runs of the same program can be merged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 RAW = "RAW"
 WAR = "WAR"
@@ -41,6 +41,19 @@ class DepKey(NamedTuple):
     dst_site: int
 
 
+def _preorder(root: PETNode | CallNode) -> Iterator:
+    """*root*, then each child's subtree in order.
+
+    An explicit stack, not recursion: a call tree is as deep as the
+    program's recursion, deeper than the interpreter's default limit.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 @dataclass(slots=True)
 class PETNode:
     """A node of the Program Execution Tree.
@@ -71,10 +84,8 @@ class PETNode:
                 return child
         return None
 
-    def walk(self) -> Iterable["PETNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def walk(self) -> Iterator["PETNode"]:
+        return _preorder(self)
 
     def max_depth(self) -> int:
         """Height of this subtree in nodes (a leaf is depth 1)."""
@@ -106,10 +117,9 @@ class CallNode:
     exclusive_cost: int = 0
     per_iter_cost: list[int] = field(default_factory=list)
 
-    def walk(self) -> Iterable["CallNode"]:
-        yield self
-        for child in self.children:
-            yield from child.walk()
+    def walk(self) -> Iterator["CallNode"]:
+        """The activations of this subtree in execution order."""
+        return _preorder(self)
 
 
 @dataclass(slots=True)
@@ -142,6 +152,10 @@ class Profile:
     #: stream from memory) and the number of array-element accesses
     unique_array_addresses: int = 0
     array_accesses: int = 0
+    #: region -> its call-tree activations, built by :meth:`activations`
+    _activations: dict[int, tuple[CallNode, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def streaming_fraction(self) -> float:
@@ -180,6 +194,21 @@ class Profile:
     def max_trip(self, loop: int) -> int:
         info = self.loop_trips.get(loop)
         return info[2] if info else 0
+
+    def activations(self, region: int) -> tuple[CallNode, ...]:
+        """The call-tree activations of *region*, in execution order.
+
+        The first call indexes every region with one walk of the call tree;
+        a profile is not mutated after ``Profiler.finish()``, so the index
+        stays valid.
+        """
+        if self._activations is None:
+            index: dict[int, list[CallNode]] = {}
+            if self.calltree is not None:
+                for node in self.calltree.walk():
+                    index.setdefault(node.region, []).append(node)
+            self._activations = {r: tuple(acts) for r, acts in index.items()}
+        return self._activations.get(region, ())
 
     def region_cost(self, region: int) -> int:
         """Inclusive cost of *region* summed over its PET occurrences."""

@@ -6,11 +6,7 @@ import pytest
 from repro.patterns.engine import analyze
 from repro.profiling import hotspot_regions, profile_run, region_coverage
 from repro.sim import plan_and_simulate, simulate_analysis
-from repro.sim.planner import (
-    loop_invocation_costs,
-    pipeline_co_invocations,
-    region_activations,
-)
+from repro.sim.planner import loop_invocation_costs, pipeline_co_invocations
 
 from conftest import parsed
 
@@ -57,7 +53,7 @@ class TestPlannerExtraction:
     def test_region_activations_in_order(self, fib_program):
         profile, _ = profile_run(fib_program, "fib", [6])
         region = fib_program.function("fib").region_id
-        acts = region_activations(profile, region)
+        acts = profile.activations(region)
         assert len(acts) == 25  # calls of fib(6)
         ids = [a.act_id for a in acts]
         assert ids[0] == min(ids)

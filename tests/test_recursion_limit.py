@@ -11,6 +11,12 @@ interpreter.  Parking sinks order the two runs deterministically: run A
 (a loop) is parked in its first event batch, run B (a 3000-deep
 recursion) is then parked mid-descent, A is released to finish, and only
 then does B resume.
+
+A profile is as deep as its program's recursion, but only profiling runs
+the engine and raises the limit.  A fresh process that finds a deep
+profile in the cache (a pool worker of a warm sweep, a restarted daemon)
+still has the default limit, so reading the profile's call tree must not
+recurse.
 """
 
 import os
@@ -92,3 +98,47 @@ def test_finished_run_does_not_lower_the_limit_under_a_deep_one(engine):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["[49995000]", "[3000]"], proc.stderr[-2000:]
+
+
+CACHE_SCRIPT = r'''
+import sys
+
+from repro.api import compile_source
+from repro.patterns.engine import analyze_profile
+from repro.profiling.cache import ProfileCache, cached_profile_runs
+from repro.profiling.serialize import profile_digest
+from repro.sim.planner import plan_and_simulate
+
+DEEP = """
+int depth(int n) {
+    if (n == 0) {
+        return 0;
+    }
+    return depth(n - 1) + 1;
+}
+"""
+
+program = compile_source(DEEP)
+profile, hit = cached_profile_runs(
+    program, "depth", [[3000]], cache=ProfileCache(root=sys.argv[1])
+)
+assert hit == (sys.argv[2] == "warm"), hit
+if hit:
+    assert sys.getrecursionlimit() < 3000, sys.getrecursionlimit()
+result = analyze_profile(program, profile)
+print(profile_digest(profile), plan_and_simulate(result).label)
+'''
+
+
+def test_deep_cached_profile_is_analyzed_in_a_fresh_process(tmp_path):
+    def run(mode):
+        proc = subprocess.run(
+            [sys.executable, "-c", CACHE_SCRIPT, str(tmp_path / "cache"), mode],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return proc.stdout
+
+    cold = run("cold")
+    assert run("warm") == cold

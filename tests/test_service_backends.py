@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -59,6 +63,26 @@ def _executor(tmp_path, backend, **kw):
     return AnalysisExecutor(
         JobStore(), cache_dir=str(tmp_path / f"cache-{backend}"), backend=backend, **kw
     )
+
+
+def _proc_stat(pid):
+    """(state, parent pid) of a live process, from /proc; None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    stats = {int(entry): _proc_stat(entry) for entry in os.listdir("/proc") if entry.isdigit()}
+    return [child for child, stat in stats.items() if stat is not None and stat[1] == pid]
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 @pytest.fixture
@@ -172,6 +196,39 @@ class TestProcessBackendBehavior:
         record = client.wait(warm["id"], timeout=120.0)
         assert record["info"]["profile_cache_hit"] is True
         assert client.stats()["cache"]["hits"] >= 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process tables from /proc")
+    def test_sigterm_shuts_the_daemon_and_its_pool_down(self, tmp_path):
+        """``kill`` of a ``serve --backend process`` daemon takes the
+        SIGINT path: the daemon exits 0 and its pool workers exit too."""
+        children: list[int] = []
+        with open(tmp_path / "serve.err", "w+") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2",
+                 "--backend", "process", "--cache-dir", str(tmp_path / "cache")],
+                stdout=subprocess.PIPE, stderr=err, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            try:
+                url = proc.stdout.readline().split(" listening on ")[1].split()[0]
+                client = ServiceClient(url)
+                client.wait_healthy(timeout=10.0)
+                job = client.submit_source(SRC, entry="total", args=SRC_ARGS)
+                assert client.wait(job["id"], timeout=120.0)["state"] == "done"
+                children = _children(proc.pid)
+                assert children, "the finished job ran on a pool worker"
+                proc.send_signal(signal.SIGTERM)
+                code = proc.wait(timeout=10)
+                err.seek(0)
+                assert code == 0, err.read()[-2000:]
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                survivors = [pid for pid in children if _alive(pid)]
+                for pid in survivors:
+                    os.kill(pid, signal.SIGKILL)
+        assert survivors == []
 
     def test_broken_pool_degrades_to_in_thread_execution(self, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
