@@ -15,8 +15,13 @@ contents:
 Change any input and the key changes, so stale entries are simply never
 hit; matching source + inputs + config always replay the exact profile the
 interpreter would produce (profiles are deterministic).  Entries live under
-``<root>/<key[:2]>/<key>.json`` as the canonical deterministic JSON dump
-from :mod:`repro.profiling.serialize`.
+``<root>/<key[:2]>/<key>.json`` as layout-2 text, which this module owns
+(:func:`encode_entry`, :func:`decode_entry`): format 1 of
+:mod:`repro.profiling.serialize`, except that the call tree is stored as
+parallel preorder columns, about a quarter of the bytes and no per-node
+dicts to decode.  An entry is not the canonical dump, so
+``profile_digest`` is still the SHA-256 of the format-1 text of the
+*loaded* profile.
 
 The root directory defaults to ``$REPRO_PROFILE_CACHE`` or
 ``~/.cache/repro/profiles``.  Writes are atomic (temp file + ``os.replace``)
@@ -48,15 +53,16 @@ import numpy as np
 from repro.lang.ast_nodes import Program
 from repro.obs import tracing
 from repro.obs.metrics import get_registry
-from repro.profiling.model import Profile
+from repro.profiling.model import CallNode, Profile
 from repro.profiling.runner import profile_runs
 from repro.profiling.serialize import (
     _FORMAT_VERSION,
-    canonical_profile_json,
+    canonical_json,
     profile_from_dict,
+    profile_json,
 )
 
-_CACHE_LAYOUT_VERSION = 1
+_CACHE_LAYOUT_VERSION = 2
 
 _ENV_VAR = "REPRO_PROFILE_CACHE"
 
@@ -114,6 +120,94 @@ def profile_cache_key(
             h.update(b"\x00arg\x00")
             _encode_arg(arg, h)
     return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# layout 2: format 1 with the call tree as parallel preorder columns
+# ---------------------------------------------------------------------------
+
+#: One value per call-tree node, in preorder.  ``kind`` indexes the
+#: section's ``kinds`` list; ``children`` is the node's child count.
+_COLUMNS = (
+    "act_id", "region", "kind", "site_line",
+    "inclusive_cost", "exclusive_cost", "per_iter_cost", "children",
+)
+
+#: What a corrupted entry raises while it is decoded.
+_DECODE_ERRORS = (ValueError, LookupError, TypeError, RecursionError)
+
+
+def encode_entry(profile: Profile) -> str:
+    """The layout-2 text of *profile*."""
+    root = profile.calltree
+    if root is None:
+        return profile_json(profile, "null")
+    order = list(root.walk())
+    kinds: dict[str, int] = {}
+    columns = {
+        "act_id": [node.act_id for node in order],
+        "region": [node.region for node in order],
+        "kind": [kinds.setdefault(node.kind, len(kinds)) for node in order],
+        "site_line": [node.site_line for node in order],
+        "inclusive_cost": [node.inclusive_cost for node in order],
+        "exclusive_cost": [node.exclusive_cost for node in order],
+        "per_iter_cost": [node.per_iter_cost for node in order],
+        "children": [len(node.children) for node in order],
+    }
+    columns["kinds"] = list(kinds)
+    return profile_json(profile, canonical_json(columns))
+
+
+def decode_entry(data: bytes) -> Profile:
+    """Rebuild the profile :func:`encode_entry` wrote.
+
+    Anything else raises one of ``_DECODE_ERRORS``: bytes that are not
+    UTF-8 JSON, a document that is not an object, a section format 1's
+    decoder rejects, or call-tree columns that do not describe one tree.
+    """
+    doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"cache entry holds a JSON {type(doc).__name__}, not an object")
+    profile = profile_from_dict({**doc, "calltree": None})
+    if doc["calltree"] is not None:
+        profile.calltree = _calltree_from_columns(doc["calltree"])
+    return profile
+
+
+def _calltree_from_columns(columns: dict[str, Any]) -> CallNode:
+    """The call tree in one pass over the columns.
+
+    In preorder, each node is the next child of the innermost node whose
+    children are not all read yet.  Columns of unequal length, and child
+    counts that start a second tree or leave a node short of children,
+    raise ``ValueError``.
+    """
+    kinds = columns["kinds"]
+    root = parent = None
+    left = 0  # children of *parent* still to read
+    enclosing: list[tuple[CallNode | None, int]] = []
+    for act_id, region, kind, site_line, inclusive, exclusive, per_iter, count in zip(
+        *(columns[name] for name in _COLUMNS), strict=True
+    ):
+        node = CallNode(
+            act_id, region, kinds[kind], site_line, parent, [], inclusive, exclusive, per_iter
+        )
+        if parent is not None:
+            parent.children.append(node)
+            left -= 1
+        elif root is None:
+            root = node
+        else:
+            raise ValueError("call-tree columns hold more than one tree")
+        if count:
+            enclosing.append((parent, left))
+            parent, left = node, count
+        else:
+            while not left and parent is not None:
+                parent, left = enclosing.pop()
+    if root is None or parent is not None:
+        raise ValueError("call-tree child counts do not close into one tree")
+    return root
 
 
 #: CacheStats counter names, in reporting order.
@@ -216,7 +310,7 @@ class ProfileCache:
     def load(self, key: str) -> Profile | None:
         """Return the cached profile for *key*, or None on miss.
 
-        A file that fails to parse (truncated write, disk corruption, or an
+        A file that fails to decode (truncated write, disk corruption, or an
         incompatible format version) is removed and reported as a miss.  An
         entry that exists but cannot be read (``PermissionError``, ``EIO``)
         is also a miss, but bumps ``read_errors`` so operators can tell a
@@ -226,7 +320,7 @@ class ProfileCache:
         t0 = time.perf_counter()
         with tracing.span("cache.read", key=key[:12]) as sp:
             try:
-                text = path.read_text()
+                data = path.read_bytes()
             except FileNotFoundError:
                 self.stats.bump("misses")
                 sp.set(outcome="miss")
@@ -239,8 +333,8 @@ class ProfileCache:
                 self._observe("read", t0)
                 return None
             try:
-                profile = profile_from_dict(json.loads(text))
-            except (ValueError, KeyError, TypeError, IndexError):
+                profile = decode_entry(data)
+            except _DECODE_ERRORS:
                 self.stats.bump("evictions")
                 self.stats.bump("misses")
                 try:
@@ -265,8 +359,8 @@ class ProfileCache:
                 dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
             )
             try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(canonical_profile_json(profile))
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(encode_entry(profile))
                 os.replace(tmp, path)
             except BaseException:
                 try:

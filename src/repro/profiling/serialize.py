@@ -11,9 +11,16 @@ insertion-ordered structures (dependence edges, per-loop access tables,
 site costs, trip counts) is emitted in sorted order and dict keys are
 sorted, so two profiles with equal contents produce byte-identical dumps
 regardless of the event order or process that built them.  That property is
-what lets the content-addressed cache (``repro.profiling.cache``) and the
-parallel orchestrator (``repro.runtime.parallel``) compare profiles by
-digest.
+what lets the parallel orchestrator (``repro.runtime.parallel``) and the
+benchmark's reference outputs compare profiles by digest.
+
+Two encoders write that format.  :func:`profile_to_dict` builds the
+JSON-compatible dict that analysis documents embed; ``canonical_json`` of
+it is the format's definition.  :func:`canonical_profile_json`, behind
+:func:`profile_digest` and :func:`save_profile`, writes the same bytes
+directly: the call tree node by node from one preorder walk, and every
+other section straight from the profile's own tuples, so it builds no
+per-node dicts and copies no pair lists.
 """
 
 from __future__ import annotations
@@ -138,11 +145,50 @@ def canonical_json(data: Any) -> str:
 def canonical_profile_json(profile: Profile) -> str:
     """The canonical (byte-deterministic) JSON text for *profile*.
 
-    Equal profiles serialize to equal bytes: collections are pre-sorted by
-    :func:`profile_to_dict` and keys are sorted here, with a fixed compact
-    separator style.
+    Byte-identical to ``canonical_json(profile_to_dict(profile))``, which
+    ``tests/test_profile_writer.py`` holds it to, but written directly.
     """
-    return canonical_json(profile_to_dict(profile))
+    return profile_json(profile, _calltree_json(profile.calltree))
+
+
+def profile_json(profile: Profile, calltree: str) -> str:
+    """The format-1 text of *profile* with *calltree*, a JSON text, as its
+    ``calltree`` value.
+
+    Every other section is laid out as :func:`profile_to_dict` lays it
+    out.  The JSON encoder writes tuples as arrays, so the profile's keys
+    and pairs go in as they are.
+    """
+    # Sorting a dict's items compares only its keys, which are distinct.
+    rest = {
+        "deps": [
+            [key, profile.deps[key]] for key in sorted(profile.deps, key=_dep_sort_key)
+        ],
+        "line_costs": sorted(profile.line_costs.items()),
+        "loop_accessed": sorted(profile.loop_accessed),
+        "loop_trips": sorted(profile.loop_trips.items()),
+        "loop_var_reads": [
+            [loop, var, sorted(lines)]
+            for (loop, var), lines in sorted(profile.loop_var_reads.items())
+        ],
+        "loop_var_writes": [
+            [loop, var, sorted(lines)]
+            for (loop, var), lines in sorted(profile.loop_var_writes.items())
+        ],
+        "pairs": sorted(profile.pairs.items()),
+        "pet": _pet_to_dict(profile.pet),
+        "read_first": sorted(profile.read_first),
+        "runs": profile.runs,
+        "site_costs": sorted(profile.site_costs.items()),
+        "total_cost": profile.total_cost,
+        "unique_array_addresses": profile.unique_array_addresses,
+        "version": _FORMAT_VERSION,
+    }
+    # Sorted keys: "array_accesses" < "calltree" < every key of *rest*.
+    return (
+        f'{{"array_accesses":{canonical_json(profile.array_accesses)},'
+        f'"calltree":{calltree},{canonical_json(rest)[1:]}'
+    )
 
 
 def profile_digest(profile: Profile) -> str:
@@ -229,6 +275,30 @@ def _calltree_to_dict(root: CallNode | None) -> dict | None:
             }
         )
     return {"nodes": nodes, "root": 0}
+
+
+def _calltree_json(root: CallNode | None) -> str:
+    """:func:`_calltree_to_dict`'s value as canonical JSON text, written
+    node by node in preorder with each node's keys in sorted order."""
+    if root is None:
+        return "null"
+    order = list(root.walk())
+    index = {id(node): i for i, node in enumerate(order)}
+    kinds: dict[str, str] = {}
+    nodes = []
+    for node in order:
+        kind = kinds.get(node.kind)
+        if kind is None:
+            kind = kinds[node.kind] = canonical_json(node.kind)
+        children = ",".join([str(index[id(c)]) for c in node.children]) if node.children else ""
+        per_iter = ",".join(map(str, node.per_iter_cost))
+        nodes.append(
+            f'{{"act_id":{node.act_id},"children":[{children}],'
+            f'"exclusive_cost":{node.exclusive_cost},"inclusive_cost":{node.inclusive_cost},'
+            f'"kind":{kind},"per_iter_cost":[{per_iter}],'
+            f'"region":{node.region},"site_line":{node.site_line}}}'
+        )
+    return '{"nodes":[' + ",".join(nodes) + '],"root":0}'
 
 
 def _calltree_from_dict(data: dict | None) -> CallNode | None:

@@ -330,6 +330,11 @@ def call_with_timeout(
     :class:`AnalysisTimeout`, which frees the worker slot for the next
     program.  Signals only work on the main thread of a process; off the
     main thread (or without SIGALRM) the call runs unbounded.
+
+    The alarm repeats every *timeout* seconds until the call returns.  An
+    alarm that lands while a finalizer runs (a ``__del__`` the garbage
+    collector called) raises there, and Python drops an exception raised
+    in a finalizer; the next alarm ends the call.
     """
     if (
         not timeout
@@ -338,14 +343,19 @@ def call_with_timeout(
     ):
         return analyze_fn(name, cache_dir)
 
+    running = True
+
     def _on_alarm(signum, frame):
-        raise AnalysisTimeout(f"analysis of {name!r} exceeded {timeout:g}s")
+        if running:
+            raise AnalysisTimeout(f"analysis of {name!r} exceeded {timeout:g}s")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, timeout, timeout)
     try:
         return analyze_fn(name, cache_dir)
     finally:
+        # Before any call: an alarm handled from here on must not raise.
+        running = False
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 

@@ -6,8 +6,10 @@ real ``analyze_one`` for genuine registry programs, so the surviving slots
 carry real, digest-checkable outcomes.
 """
 
+import gc
 import multiprocessing
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -36,6 +38,21 @@ def _crash_on_marker(name, cache_dir=None):
 def _sleep_on_marker(name, cache_dir=None):
     if name == "slow":
         time.sleep(30)
+    return analyze_one(name, cache_dir)
+
+
+class _SlowFinalizer:
+    def __del__(self):
+        time.sleep(2)  # the first alarm lands here
+
+
+def _alarm_in_a_finalizer(name, cache_dir=None):
+    if name == "finalizer":
+        garbage = _SlowFinalizer()
+        garbage.cycle = garbage  # only the collector frees it
+        del garbage
+        gc.collect()
+        time.sleep(2)
     return analyze_one(name, cache_dir)
 
 
@@ -141,6 +158,23 @@ class TestTimeout:
         (slow,) = analyze_registry(
             ["slow"], parallel=False, timeout=0.5, analyze_fn=_sleep_on_marker
         )
+        assert isinstance(slow, FailedOutcome)
+        assert slow.error_type == "AnalysisTimeout"
+
+    def test_alarm_dropped_in_a_finalizer_fires_again(self):
+        """Python drops an exception raised inside a finalizer, so one
+        alarm that lands there must not leave the analysis unbounded."""
+        dropped = []
+        hook = sys.unraisablehook
+        sys.unraisablehook = lambda unraisable: dropped.append(unraisable.exc_type)
+        try:
+            (slow,) = analyze_registry(
+                ["finalizer"], parallel=False, timeout=0.5,
+                analyze_fn=_alarm_in_a_finalizer,
+            )
+        finally:
+            sys.unraisablehook = hook
+        assert dropped == [AnalysisTimeout]
         assert isinstance(slow, FailedOutcome)
         assert slow.error_type == "AnalysisTimeout"
 

@@ -14,6 +14,7 @@ from repro.profiling import (
 from repro.profiling.cache import (
     ProfileCache,
     cached_profile_runs,
+    encode_entry,
     profile_cache_key,
 )
 
@@ -125,6 +126,18 @@ class TestCachedRuns:
         )
 
 
+def _with_columns(**edits):
+    """A corruption that rewrites call-tree columns of a layout-2 entry."""
+
+    def corrupt(entry: bytes) -> bytes:
+        doc = json.loads(entry)
+        for name, edit in edits.items():
+            doc["calltree"][name] = edit(doc["calltree"][name])
+        return json.dumps(doc).encode()
+
+    return corrupt
+
+
 class TestCorruption:
     def test_corrupted_entry_is_evicted_and_recomputed(self, program, args, cache):
         _, _ = cached_profile_runs(program, "total", args, cache=cache)
@@ -146,6 +159,36 @@ class TestCorruption:
         cache.path_for(key).write_text(json.dumps({"version": 999}))
         assert cache.load(key) is None
         assert cache.stats.evictions == 1
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda entry: b"null",
+            lambda entry: b"[]",
+            lambda entry: entry[:40] + b"\xff" + entry[40:],
+            _with_columns(region=lambda col: col[:-1]),
+            # the root of the two-node tree claims two children, then none
+            _with_columns(children=lambda col: [2] + col[1:]),
+            _with_columns(children=lambda col: [0] + col[1:]),
+        ],
+        ids=["null", "list", "bad-utf8", "short-column", "open-child-count",
+             "second-tree-child-count"],
+    )
+    def test_undecodable_entry_is_evicted_and_recomputed(
+        self, program, args, cache, corrupt
+    ):
+        computed, _ = cached_profile_runs(program, "total", args, cache=cache)
+        key = profile_cache_key(program.source, "total", args)
+        path = cache.path_for(key)
+        path.write_bytes(corrupt(path.read_bytes()))
+
+        assert cache.load(key) is None
+        assert cache.stats.evictions == 1
+        assert not path.exists()
+
+        profile, hit = cached_profile_runs(program, "total", args, cache=cache)
+        assert not hit
+        assert profile_digest(profile) == profile_digest(computed)
 
     def test_missing_entry_is_plain_miss(self, cache):
         assert cache.load("0" * 64) is None
@@ -218,11 +261,13 @@ class TestDeterminism:
         rebuilt = profile_from_dict(json.loads(text))
         assert canonical_profile_json(rebuilt) == text
 
-    def test_digest_matches_stored_bytes(self, program, args, cache):
+    def test_stored_entry_is_the_layout_encoding(self, program, args, cache):
         profile, _ = cached_profile_runs(program, "total", args, cache=cache)
         key = profile_cache_key(program.source, "total", args)
-        stored = cache.path_for(key).read_text()
-        assert stored == canonical_profile_json(profile)
+        assert cache.path_for(key).read_text() == encode_entry(profile)
+        loaded = cache.load(key)
+        assert loaded is not None
+        assert profile_digest(loaded) == profile_digest(profile)
 
 
 class TestStatsConcurrency:
