@@ -11,8 +11,8 @@ Three facts, end to end, on a fixed-seed adversarial corpus::
   the ``doall`` and ``reduction`` dimensions of the held-out split (the
   acceptance bar for the learned-baseline work);
 * **comparison render** — the learned-vs-rules table and CSV must render
-  with a row per pattern dimension, since the benchmark report embeds
-  them.
+  with a row per pattern dimension; the table is the committed
+  ``benchmarks/output/learned_compare.txt`` artefact.
 
 Exit 0 on success.  Not collected by pytest (no ``test_`` prefix); the
 in-process equivalents live in ``tests/test_learn.py`` and

@@ -265,57 +265,14 @@ void kernel(float A[][], float x[], float y[], int n) {
 """
 
 
-#: Regression tolerance for ``bench --smoke --baseline``: the measured cold
-#: serial sweep may exceed the committed baseline by this factor before the
-#: gate fails.  Generous on purpose — CI containers share cores and a cold
-#: sweep has ±20% run-to-run noise; the gate exists to catch order-of-
-#: magnitude regressions (an engine accidentally falling back to the tree
-#: walker), not 5% drifts.
-BASELINE_TOLERANCE = 0.25
-
-
-def _check_baseline(args: argparse.Namespace, failures: list) -> None:
-    """Gate the cold serial registry sweep against a committed bench report.
-
-    Re-measures ``analyze_registry(parallel=False)`` wall-clock — the same
-    quantity ``bench_pipeline_perf.py`` records as
-    ``optimized.cold_serial`` — and fails when it regresses more than
-    :data:`BASELINE_TOLERANCE` over the committed number.
-    """
-    import time
-
-    from repro.runtime.parallel import FailedOutcome, analyze_registry
-
-    with open(args.baseline) as fh:
-        doc = json.load(fh)
-    base_s = doc["optimized"]["cold_serial"]
-    budget_s = base_s * (1.0 + BASELINE_TOLERANCE)
-    t0 = time.perf_counter()
-    outcomes = analyze_registry(parallel=False, engine=args.engine)
-    cold_s = time.perf_counter() - t0
-    failed = [o.name for o in outcomes if isinstance(o, FailedOutcome)]
-    if failed:
-        failures.append(f"cold serial sweep had failing programs: {failed}")
-    print(
-        f"baseline gate: cold serial sweep {cold_s:.2f} s vs committed "
-        f"{base_s:.2f} s (budget {budget_s:.2f} s = +{BASELINE_TOLERANCE:.0%})"
-    )
-    if cold_s > budget_s:
-        failures.append(
-            f"cold serial sweep regressed: {cold_s:.2f}s > {budget_s:.2f}s "
-            f"({BASELINE_TOLERANCE:.0%} over the committed {base_s:.2f}s)"
-        )
-
-
 def _cmd_bench_smoke(args: argparse.Namespace) -> int:
     """Perf smoke check: one small program, uncached then cached.
 
     Exercises the full fast path (compile -> batched profile -> detect)
     and the content-addressed cache, asserting a store on the cold run and
-    a hit (with zero re-execution) on the warm run.  With ``--baseline``
-    it additionally re-measures the cold serial registry sweep and fails
-    on a regression beyond :data:`BASELINE_TOLERANCE`.
+    a hit (with zero re-execution) on the warm run.
     """
+    import contextlib
     import tempfile
     import time
 
@@ -329,19 +286,21 @@ def _cmd_bench_smoke(args: argparse.Namespace) -> int:
     program = compile_source(_SMOKE_SOURCE)
     rng = np.random.default_rng(0)
     arg_sets = [[rng.random((24, 24)), rng.random(24), rng.random(24), 24]]
-    cache_dir = args.cache_dir or tempfile.mkdtemp(prefix="repro-bench-smoke-")
-    cache = ProfileCache(root=cache_dir)
+    # A given --cache-dir keeps its entries; the default one is removed.
+    with (contextlib.nullcontext(args.cache_dir) if args.cache_dir
+          else tempfile.TemporaryDirectory(prefix="repro-bench-smoke-")) as cache_dir:
+        cache = ProfileCache(root=cache_dir)
 
-    t0 = time.perf_counter()
-    cold_profile, cold_hit = cached_profile_runs(
-        program, "kernel", arg_sets, cache=cache, engine=args.engine
-    )
-    cold_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm_profile, warm_hit = cached_profile_runs(
-        program, "kernel", arg_sets, cache=cache, engine=args.engine
-    )
-    warm_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        cold_profile, cold_hit = cached_profile_runs(
+            program, "kernel", arg_sets, cache=cache, engine=args.engine
+        )
+        cold_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm_profile, warm_hit = cached_profile_runs(
+            program, "kernel", arg_sets, cache=cache, engine=args.engine
+        )
+        warm_s = time.perf_counter() - t0
 
     failures = []
     if cold_hit:
@@ -358,8 +317,6 @@ def _cmd_bench_smoke(args: argparse.Namespace) -> int:
 
     print(f"bench --smoke: cold {cold_s * 1e3:.1f} ms, warm {warm_s * 1e3:.1f} ms")
     print(f"cache: {cache.stats.stores} store(s), {cache.stats.hits} hit(s) at {cache_dir}")
-    if args.baseline:
-        _check_baseline(args, failures)
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
@@ -1028,13 +985,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fast perf smoke check: one small program through "
                         "the uncached and cached paths")
     p.add_argument("--cache-dir", default=None,
-                   help="cache directory for --smoke (default: fresh temp dir)")
+                   help="cache directory for --smoke (default: a temp dir it removes)")
     p.add_argument("--no-source", action="store_true")
     _add_fault_flags(p)
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="with --smoke: committed BENCH_pipeline.json to "
-                        "gate the cold serial sweep against (fails on a "
-                        ">25%% regression)")
     _add_engine_flag(p)
     _add_json_flags(p)
 

@@ -17,9 +17,9 @@ stdlib-only pieces, documented in ``docs/observability.md``:
 
 Instrumentation must be cheap enough to leave on (the way DiscoPoP treats
 its profiler's overhead as a first-class result): ``set_enabled(False)``
-turns every instrument into a no-op, and ``benchmarks/
-bench_pipeline_perf.py`` prices the difference as ``obs_overhead``,
-budgeted at <5 % of the warm registry sweep.
+turns every instrument into a no-op, and the repo benchmark prices the
+difference as ``obs.overhead_pct`` in a traced ``registry_warm`` run,
+budgeted at 5 % of a warm registry analysis.
 """
 
 from repro.obs.logs import (

@@ -20,8 +20,8 @@ Design constraints, in order:
   pre-allocated ints and lists; bucket search is a branch ladder over a
   fixed bounds tuple.  No dicts or strings are built per update.
 * **Globally disableable** — :func:`set_enabled` turns every instrument
-  into a no-op so the benchmark harness can price the instrumentation
-  itself (the ``obs_overhead`` section of ``BENCH_pipeline.json``).
+  into a no-op so the repo benchmark can price the instrumentation
+  itself (``obs.overhead_pct`` in a traced ``registry_warm`` run).
 
 Instruments are get-or-create by name: asking the registry twice for the
 same name returns the same object, and asking with a conflicting kind or
@@ -53,8 +53,8 @@ _enabled = True
 
 def set_enabled(flag: bool) -> bool:
     """Turn all instrument updates on/off process-wide; returns the
-    previous setting.  Disabling is how the perf harness measures the cost
-    of the instrumentation itself; rendered values simply stop moving."""
+    previous setting.  Disabling is how the repo benchmark measures the
+    cost of the instrumentation itself; rendered values simply stop moving."""
     global _enabled
     previous = _enabled
     _enabled = bool(flag)

@@ -1,5 +1,7 @@
 """CLI perf surface: bench --smoke and the cached detect path."""
 
+import tempfile
+
 from repro.cli import main
 
 SRC = """\
@@ -30,6 +32,11 @@ class TestBenchSmoke:
         captured = capsys.readouterr()
         assert code == 1  # cold run hit the cache -> assertion trips, honestly
         assert "cold run unexpectedly hit the cache" in captured.err
+
+    def test_smoke_default_cache_dir_is_removed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["bench", "--smoke"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_requires_name_or_smoke(self, capsys):
         assert main(["bench"]) == 2

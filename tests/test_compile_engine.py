@@ -11,7 +11,10 @@ compare ``profile_digest`` on each, so any divergence in event streams is
 caught at the serialized-profile level.  The registry digests are also
 pinned to the benchmark's committed references
 (``benchmarks/perf/expected.json``), which catches a profiler change that
-alters both engines' profiles alike.
+alters both engines' profiles alike, and each registry analysis on the
+default path must do exactly the work committed in ``registry_counts.json``
+(events per tag, batches, evidence), which catches that path falling back
+to the tree walker.
 
 C-style truncating division and modulo (``_c_int_div`` / ``_c_int_mod``)
 get direct unit coverage for negative operands — the one place MiniC
@@ -22,6 +25,7 @@ every nesting shape the compiler handles specially.
 
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +34,15 @@ import pytest
 from repro.bench_programs.registry import all_benchmarks
 from repro.lang.parser import parse_program
 from repro.lang.validate import validate_program
-from repro.profiling import Profiler
+from repro.profiling import Profiler, runner
 from repro.profiling.runner import profile_run, profile_runs
 from repro.profiling.serialize import profile_digest
 from repro.runtime.compile import CompiledEngine, run_compiled
+from repro.runtime.events import (
+    EV_COST, EV_ENTER_FUNC, EV_ENTER_LOOP, EV_ITER, EV_READ, EV_STMT, EV_WRITE,
+)
 from repro.runtime.interpreter import Interpreter, InterpreterError, _c_int_div, _c_int_mod
+from repro.runtime.parallel import analyze_registry
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -85,15 +93,48 @@ _EXPECTED = json.loads(
     (Path(__file__).resolve().parents[1] / "benchmarks" / "perf" / "expected.json").read_text()
 )["registry"]
 
+# Exact work counts of each registry analysis on the product's default path:
+# events per tag and batches the profiler consumed, and the detectors'
+# accepted and rejected evidence.  They are deterministic, so they carry no
+# tolerance.  The digest cannot see which engine produced a profile, but the
+# counts can: the compiled engine coalesces EV_COST events that the tree
+# walker emits one by one.  A change that means to move a count updates
+# exactly the rows it explains.
+_COUNTS = json.loads(Path(__file__).with_name("registry_counts.json").read_text())
+
+_EVENT_TAGS = {
+    EV_READ: "read", EV_WRITE: "write", EV_COST: "cost", EV_STMT: "stmt",
+    EV_ITER: "iter", EV_ENTER_FUNC: "call", EV_ENTER_LOOP: "loop",
+}
+
 
 @pytest.mark.parametrize(
     "spec", all_benchmarks(), ids=lambda spec: spec.name
 )
-def test_registry_profiles_identical_across_engines(spec):
-    compiled = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="compiled")
+def test_registry_profiles_identical_across_engines(spec, monkeypatch):
     tree = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="tree")
-    assert profile_digest(compiled) == profile_digest(tree)
     assert profile_digest(tree) == _EXPECTED[spec.name]["profile_digest"]
+
+    tags, batches = Counter(), []
+
+    class CountingProfiler(Profiler):
+        def consume_batch(self, events):
+            batches.append(len(events))
+            tags.update(event[0] for event in events)
+            super().consume_batch(events)
+
+    # The serial path of `table3 --no-parallel`, with every engine default.
+    monkeypatch.setattr(runner, "Profiler", CountingProfiler)
+    (outcome,) = analyze_registry([spec.name], parallel=False)
+    assert outcome.profile_digest == profile_digest(tree)
+    assert outcome.label == _EXPECTED[spec.name]["label"]
+    observed = {name: tags[tag] for tag, name in _EVENT_TAGS.items()}
+    observed.update(
+        batches=len(batches),
+        evidence_accepted=outcome.evidence_accepted,
+        evidence_rejected=outcome.evidence_rejected,
+    )
+    assert observed == _COUNTS[spec.name], json.dumps({spec.name: observed})
 
 
 def test_unknown_engine_rejected():

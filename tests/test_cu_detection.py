@@ -1,5 +1,6 @@
 """CU detection tests (Figure 1's read-compute-write grouping)."""
 
+from repro.bench_programs import get_benchmark
 from repro.cu import detect_cus
 
 from conftest import parsed
@@ -203,3 +204,10 @@ void f(float &x, float &y) {
     def test_empty_region(self):
         prog = parsed("void f() { }")
         assert detect_cus(prog, prog.function("f").region_id) == []
+
+
+class TestRegistryProgram:
+    def test_cilksort_has_the_figure3_cus(self):
+        # Figure 3: the quarter computation, four sorts and three merges.
+        program = get_benchmark("sort").program
+        assert len(detect_cus(program, program.function("cilksort").region_id)) >= 8

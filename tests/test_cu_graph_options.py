@@ -4,6 +4,7 @@ carried-dep exclusion, and weight accounting."""
 import numpy as np
 import pytest
 
+from repro.bench_programs import get_benchmark
 from repro.cu import build_cu_graph, cu_weight, detect_cus
 from repro.cu.detect import region_body
 from repro.errors import AnalysisError
@@ -133,3 +134,12 @@ void f(float A[], float B[], int n) {
         prog = parsed("void f() { }")
         with pytest.raises(AnalysisError):
             region_body(prog, 999)
+
+
+class TestRegistryProgram:
+    def test_2mm_graph_has_a_node_per_cu(self):
+        spec = get_benchmark("2mm")
+        profile, _ = profile_run(spec.program, spec.entry, spec.arg_sets()[0])
+        region = spec.program.function(spec.entry).region_id
+        cus = detect_cus(spec.program, region)
+        assert len(build_cu_graph(cus, profile, region)) == len(cus)

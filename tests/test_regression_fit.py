@@ -30,6 +30,7 @@ class TestFit:
         fit = fit_iteration_pairs(pairs)
         assert 0.9 < fit.r2 < 1.0
         assert fit.a == pytest.approx(1.0, abs=0.1)
+        assert 0.0 <= efficiency_factor(fit.a, fit.b, 50, 50) <= 2.0
 
     def test_single_pair_degenerates(self):
         fit = fit_iteration_pairs([(5, 7)])
