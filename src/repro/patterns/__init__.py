@@ -48,13 +48,7 @@ from repro.patterns.framework import (
     default_registry,
     run_detectors,
 )
-from repro.patterns.schema import (
-    SCHEMA_VERSION,
-    analysis_from_dict,
-    analysis_from_json,
-    analysis_to_dict,
-    analysis_to_json,
-)
+from repro.patterns.schema import SCHEMA_VERSION, analysis_from_dict, analysis_to_dict
 from repro.patterns.ranking import PatternOption, rank_patterns
 from repro.patterns.intra_pipeline import IntraLoopPipeline, detect_intra_loop_pipeline
 
@@ -92,8 +86,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "analysis_to_dict",
     "analysis_from_dict",
-    "analysis_to_json",
-    "analysis_from_json",
     "PatternOption",
     "rank_patterns",
     "IntraLoopPipeline",

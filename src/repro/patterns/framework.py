@@ -39,6 +39,7 @@ from repro.patterns.result import (
     MultiLoopPipeline,
     ReductionCandidate,
     TaskParallelism,
+    WavefrontCandidate,
 )
 from repro.profiling.hotspots import Hotspot
 from repro.profiling.model import Profile
@@ -241,7 +242,7 @@ class AnalysisResult:
     reductions: dict[int, list[ReductionCandidate]] = field(default_factory=dict)
     #: wavefront / skewed-pipeline shapes (an extension beyond the paper's
     #: six patterns — never part of the Table III primary label)
-    wavefronts: list = field(default_factory=list)
+    wavefronts: list[WavefrontCandidate] = field(default_factory=list)
     trace: AnalysisTrace | None = None
     _hotspot_regions_cache: set[int] | None = field(
         default=None, repr=False, compare=False
@@ -267,20 +268,6 @@ class AnalysisResult:
         clears :data:`MIN_TASK_SPEEDUP`.
         """
         return evaluate_task_candidates(self)[0]
-
-    def to_json(self, pretty: bool = False) -> str:
-        """Serialize to the versioned analysis schema (see
-        :mod:`repro.patterns.schema`)."""
-        from repro.patterns.schema import analysis_to_json
-
-        return analysis_to_json(self, pretty=pretty)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AnalysisResult":
-        """Rebuild a result from :meth:`to_json` output."""
-        from repro.patterns.schema import analysis_from_json
-
-        return analysis_from_json(text)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,19 @@ be archived, diffed, and consumed by downstream tools (the CLI's ``--json``
 mode, the reporting layer, and the parallel orchestrator's outcome records)
 without re-running anything.
 
+One codec writes every result type: :func:`dataclass_to_dict` encodes a
+dataclass from its fields and their annotations, and
+:func:`dataclass_from_dict` reverses it.  The default coding writes enums
+by value, sets as sorted lists, tuples as lists, dicts as ``[key, value]``
+pairs in insertion order, and nested dataclasses recursively.  The
+``_RULES`` table lists the fields coded otherwise, and ``_TYPE_CODERS`` the
+types with coders of their own (the graph, the program, the profile).
+
 Serialization is **deterministic**, like
 :func:`repro.profiling.serialize.canonical_profile_json`: list orders are
 either the result's own deterministic orders or explicitly sorted, dict
 keys are sorted at dump time, and equal results produce byte-identical
-text — ``analysis_digest`` is therefore a content address.
+text.
 
 The program is stored as its MiniC source and re-parsed on load; region and
 statement ids are assigned deterministically by the parser, so every id in
@@ -20,32 +28,20 @@ references resolved against the re-parsed program.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Any
+import dataclasses
+import enum
+import functools
+import types
+import typing
+from typing import Any, Callable
 
-from repro.cu.model import CU
 from repro.graphs.digraph import DiGraph
-from repro.obs.tracing import Span
+from repro.lang.ast_nodes import Program
 from repro.lang.parser import parse_program
-from repro.patterns.framework import (
-    AnalysisResult,
-    AnalysisTrace,
-    Evidence,
-    StageTrace,
-)
-from repro.patterns.result import (
-    FusionCandidate,
-    GeometricDecomposition,
-    LoopClass,
-    LoopClassification,
-    MultiLoopPipeline,
-    ReductionCandidate,
-    TaskParallelism,
-    WavefrontCandidate,
-)
-from repro.profiling.hotspots import Hotspot
-from repro.profiling.serialize import canonical_json, profile_from_dict, profile_to_dict
+from repro.patterns.framework import AnalysisResult
+from repro.patterns.result import MultiLoopPipeline
+from repro.profiling.model import Profile
+from repro.profiling.serialize import profile_from_dict, profile_to_dict
 
 #: Version of the analysis document layout.  Bump on any change to the
 #: structure below; ``analysis_from_dict`` refuses other versions.
@@ -61,154 +57,17 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# component encoders/decoders
+# the exceptions to the default coding
 # ---------------------------------------------------------------------------
 
-
-def _hotspot_to_dict(h: Hotspot) -> dict[str, Any]:
-    return {
-        "region": h.region,
-        "kind": h.kind,
-        "name": h.name,
-        "line": h.line,
-        "inclusive_cost": h.inclusive_cost,
-        "share": h.share,
-        "pet_node_id": h.pet_node_id,
-    }
-
-
-def _hotspot_from_dict(d: dict[str, Any]) -> Hotspot:
-    return Hotspot(
-        region=d["region"],
-        kind=d["kind"],
-        name=d["name"],
-        line=d["line"],
-        inclusive_cost=d["inclusive_cost"],
-        share=d["share"],
-        pet_node_id=d["pet_node_id"],
-    )
-
-
-def _reduction_to_dict(c: ReductionCandidate) -> dict[str, Any]:
-    return {"loop": c.loop, "var": c.var, "line": c.line, "operator": c.operator}
-
-
-def _reduction_from_dict(d: dict[str, Any]) -> ReductionCandidate:
-    return ReductionCandidate(
-        loop=d["loop"], var=d["var"], line=d["line"], operator=d["operator"]
-    )
-
-
-def _loop_class_to_dict(lc: LoopClass) -> dict[str, Any]:
-    return {
-        "region": lc.region,
-        "classification": lc.classification.value,
-        "blocking_vars": sorted(lc.blocking_vars),
-        "privatizable": sorted(lc.privatizable),
-        "reductions": [_reduction_to_dict(c) for c in lc.reductions],
-    }
-
-
-def _loop_class_from_dict(d: dict[str, Any]) -> LoopClass:
-    return LoopClass(
-        region=d["region"],
-        classification=LoopClassification(d["classification"]),
-        blocking_vars=set(d["blocking_vars"]),
-        privatizable=set(d["privatizable"]),
-        reductions=[_reduction_from_dict(c) for c in d["reductions"]],
-    )
-
-
-def _opt_loop_class_to_dict(lc: LoopClass | None) -> dict[str, Any] | None:
-    return None if lc is None else _loop_class_to_dict(lc)
-
-
-def _opt_loop_class_from_dict(d: dict[str, Any] | None) -> LoopClass | None:
-    return None if d is None else _loop_class_from_dict(d)
-
-
-def _pipeline_to_dict(p: MultiLoopPipeline) -> dict[str, Any]:
-    return {
-        "loop_x": p.loop_x,
-        "loop_y": p.loop_y,
-        "a": p.a,
-        "b": p.b,
-        "efficiency": p.efficiency,
-        "n_pairs": p.n_pairs,
-        "trips_x": p.trips_x,
-        "trips_y": p.trips_y,
-        "stage_x": _opt_loop_class_to_dict(p.stage_x),
-        "stage_y": _opt_loop_class_to_dict(p.stage_y),
-    }
-
-
-def _pipeline_from_dict(d: dict[str, Any]) -> MultiLoopPipeline:
-    return MultiLoopPipeline(
-        loop_x=d["loop_x"],
-        loop_y=d["loop_y"],
-        a=d["a"],
-        b=d["b"],
-        efficiency=d["efficiency"],
-        n_pairs=d["n_pairs"],
-        trips_x=d["trips_x"],
-        trips_y=d["trips_y"],
-        stage_x=_opt_loop_class_from_dict(d["stage_x"]),
-        stage_y=_opt_loop_class_from_dict(d["stage_y"]),
-    )
-
-
-def _wavefront_to_dict(w: WavefrontCandidate) -> dict[str, Any]:
-    return {
-        "loop_x": w.loop_x,
-        "loop_y": w.loop_y,
-        "carrier": w.carrier,
-        "a": w.a,
-        "b": w.b,
-        "r2": w.r2,
-        "n_pairs": w.n_pairs,
-        "direction": w.direction,
-    }
-
-
-def _wavefront_from_dict(d: dict[str, Any]) -> WavefrontCandidate:
-    return WavefrontCandidate(
-        loop_x=d["loop_x"],
-        loop_y=d["loop_y"],
-        carrier=d["carrier"],
-        a=d["a"],
-        b=d["b"],
-        r2=d["r2"],
-        n_pairs=d["n_pairs"],
-        direction=d["direction"],
-    )
-
-
-def _cu_to_dict(cu: CU) -> dict[str, Any]:
-    return {
-        "cu_id": cu.cu_id,
-        "region": cu.region,
-        "kind": cu.kind,
-        "stmt_ids": [s.stmt_id for s in cu.stmts],
-        "lines": sorted(cu.lines),
-        "reads": sorted(cu.reads),
-        "writes": sorted(cu.writes),
-        "callees": list(cu.callees),
-        "early_exit": cu.early_exit,
-    }
-
-
-def _cu_from_dict(d: dict[str, Any], program) -> CU:
-    return CU(
-        cu_id=d["cu_id"],
-        region=d["region"],
-        kind=d["kind"],
-        stmts=[program.stmts[sid] for sid in d["stmt_ids"] if sid in program.stmts],
-        lines=set(d["lines"]),
-        reads=set(d["reads"]),
-        writes=set(d["writes"]),
-        callees=list(d["callees"]),
-        early_exit=d["early_exit"],
-    )
+#: A dict written in key order rather than insertion order.
+KEY_ORDER = "key order"
+#: A tolerated extension (no version bump): written only when non-empty,
+#: and read as the field's default when absent, so documents that predate
+#: the key and documents with nothing to say in it are byte-identical.
+OMIT_EMPTY = "omit empty"
+#: Read as the field's default when absent (a key later versions added).
+OPTIONAL = "optional"
 
 
 def _graph_to_dict(graph: DiGraph) -> dict[str, Any]:
@@ -230,207 +89,209 @@ def _graph_from_dict(d: dict[str, Any]) -> DiGraph:
     return graph
 
 
-def _task_to_dict(tp: TaskParallelism) -> dict[str, Any]:
-    return {
-        "region": tp.region,
-        "cus": [_cu_to_dict(cu) for cu in tp.cus],
-        "graph": _graph_to_dict(tp.graph),
-        "marks": [[cu, m] for cu, m in sorted(tp.marks.items())],
-        "barrier_inputs": [
-            [cu, list(inputs)] for cu, inputs in sorted(tp.barrier_inputs.items())
-        ],
-        "parallel_barriers": [list(p) for p in tp.parallel_barriers],
-        "total_instructions": tp.total_instructions,
-        "critical_path_instructions": tp.critical_path_instructions,
-        "critical_path": list(tp.critical_path),
-        "concurrent_tasks": list(tp.concurrent_tasks),
-        "weights": [[cu, w] for cu, w in sorted(tp.weights.items())],
-        "single_step_total": tp.single_step_total,
-        "single_step_cp": tp.single_step_cp,
-    }
+def _program_to_dict(program: Program) -> dict[str, Any]:
+    if not program.source:
+        raise ValueError(
+            "analysis schema requires a source-bearing Program "
+            "(programs built without source text cannot be re-parsed on load)"
+        )
+    return {"source": program.source}
 
 
-def _task_from_dict(d: dict[str, Any], program) -> TaskParallelism:
-    return TaskParallelism(
-        region=d["region"],
-        cus=[_cu_from_dict(c, program) for c in d["cus"]],
-        graph=_graph_from_dict(d["graph"]),
-        marks={cu: m for cu, m in d["marks"]},
-        barrier_inputs={cu: list(inputs) for cu, inputs in d["barrier_inputs"]},
-        parallel_barriers=[tuple(p) for p in d["parallel_barriers"]],
-        total_instructions=d["total_instructions"],
-        critical_path_instructions=d["critical_path_instructions"],
-        critical_path=list(d["critical_path"]),
-        concurrent_tasks=list(d["concurrent_tasks"]),
-        weights={cu: w for cu, w in d["weights"]},
-        single_step_total=d["single_step_total"],
-        single_step_cp=d["single_step_cp"],
-    )
+def _program_from_dict(d: dict[str, Any]) -> Program:
+    return parse_program(d["source"])
 
 
-def _geometric_to_dict(gd: GeometricDecomposition) -> dict[str, Any]:
-    return {
-        "region": gd.region,
-        "function": gd.function,
-        "analyzed_loops": [
-            [region, _loop_class_to_dict(lc)] for region, lc in gd.analyzed_loops.items()
-        ],
-        "called_functions": list(gd.called_functions),
-    }
+# A field that refers into the rest of the document has a writer and a
+# reader.  Both see the *scope*: the fields of the outermost object, as the
+# instance's attributes when encoding and as the fields decoded so far when
+# decoding, so a reference may point at any field declared before the one
+# that holds it (the program precedes the tasks, the pipelines the fusions).
 
 
-def _geometric_from_dict(d: dict[str, Any]) -> GeometricDecomposition:
-    return GeometricDecomposition(
-        region=d["region"],
-        function=d["function"],
-        analyzed_loops={
-            region: _loop_class_from_dict(lc) for region, lc in d["analyzed_loops"]
-        },
-        called_functions=list(d["called_functions"]),
-    )
+def _write_stmt_ids(doc: dict[str, Any], stmts: list, scope: dict[str, Any]) -> None:
+    doc["stmt_ids"] = [s.stmt_id for s in stmts]
 
 
-def _evidence_to_dict(ev: Evidence) -> dict[str, Any]:
-    return {
-        "detector": ev.detector,
-        "kind": ev.kind,
-        "regions": list(ev.regions),
-        "status": ev.status,
-        "reason": ev.reason,
-        "threshold": ev.threshold,
-        "threshold_value": ev.threshold_value,
-        "observed": ev.observed,
-        "detail": ev.detail,
-    }
-
-
-def _evidence_from_dict(d: dict[str, Any]) -> Evidence:
-    return Evidence(
-        detector=d["detector"],
-        kind=d["kind"],
-        regions=tuple(d["regions"]),
-        status=d["status"],
-        reason=d["reason"],
-        threshold=d["threshold"],
-        threshold_value=d["threshold_value"],
-        observed=d["observed"],
-        detail=d["detail"],
-    )
-
-
-def _span_to_dict(sp: Span) -> dict[str, Any]:
-    return {
-        "name": sp.name,
-        "span_id": sp.span_id,
-        "parent_id": sp.parent_id,
-        "start_s": sp.start_s,
-        "duration_s": sp.duration_s,
-        "attrs": [[k, sp.attrs[k]] for k in sorted(sp.attrs)],
-    }
-
-
-def _span_from_dict(d: dict[str, Any]) -> Span:
-    return Span(
-        name=d["name"],
-        span_id=d["span_id"],
-        parent_id=d["parent_id"],
-        start_s=d["start_s"],
-        duration_s=d["duration_s"],
-        attrs={k: v for k, v in d["attrs"]},
-    )
-
-
-def _trace_to_dict(trace: AnalysisTrace | None) -> dict[str, Any] | None:
-    if trace is None:
-        return None
-    doc: dict[str, Any] = {
-        "stages": [
-            {
-                "detector": st.detector,
-                "stage": st.stage,
-                "wall_time_s": st.wall_time_s,
-                "counters": [[k, st.counters[k]] for k in sorted(st.counters)],
-            }
-            for st in trace.stages
-        ],
-        "evidence": [_evidence_to_dict(ev) for ev in trace.evidence],
-    }
-    # Tolerated extension (no version bump): the spans block appears only
-    # when the run collected spans, so documents written before this key
-    # existed and documents written with tracing disabled are identical.
-    if trace.spans:
-        doc["spans"] = [_span_to_dict(sp) for sp in trace.spans]
-    return doc
-
-
-def _trace_from_dict(d: dict[str, Any] | None) -> AnalysisTrace | None:
-    if d is None:
-        return None
-    return AnalysisTrace(
-        stages=[
-            StageTrace(
-                detector=st["detector"],
-                stage=st["stage"],
-                wall_time_s=st["wall_time_s"],
-                counters={k: v for k, v in st["counters"]},
+def _read_stmt_ids(data: dict[str, Any], scope: dict[str, Any]) -> list:
+    stmts = scope["program"].stmts
+    for sid in data["stmt_ids"]:
+        if sid not in stmts:
+            raise ValueError(
+                f"CU {data['cu_id']} names statement id {sid}, "
+                "which the document's program does not have"
             )
-            for st in d["stages"]
-        ],
-        evidence=[_evidence_from_dict(ev) for ev in d["evidence"]],
-        spans=[_span_from_dict(sp) for sp in d.get("spans", [])],
-    )
+    return [stmts[sid] for sid in data["stmt_ids"]]
+
+
+def _write_pipeline_ref(
+    doc: dict[str, Any], pipeline: MultiLoopPipeline, scope: dict[str, Any]
+) -> None:
+    index = next((i for i, p in enumerate(scope["pipelines"]) if p is pipeline), None)
+    doc["pipeline_index"] = index
+    if index is None:  # detached candidate: inline the pipeline record
+        doc["pipeline"] = _coder(MultiLoopPipeline)[0](pipeline, scope)
+
+
+def _read_pipeline_ref(data: dict[str, Any], scope: dict[str, Any]) -> MultiLoopPipeline:
+    index = data.get("pipeline_index")
+    if index is None:
+        return _coder(MultiLoopPipeline)[1](data["pipeline"], scope)
+    return scope["pipelines"][index]
+
+
+#: Fields coded otherwise than by their annotation, as ``Class.field``.
+#: Classes are named, not imported, so that the outcome records of
+#: :mod:`repro.runtime.parallel` use the codec without this module
+#: importing their process pool.
+_RULES: dict[str, str | tuple[Callable, Callable]] = {
+    "TaskParallelism.marks": KEY_ORDER,
+    "TaskParallelism.barrier_inputs": KEY_ORDER,
+    "TaskParallelism.weights": KEY_ORDER,
+    "StageTrace.counters": KEY_ORDER,
+    "Span.attrs": KEY_ORDER,
+    "AnalysisTrace.spans": OMIT_EMPTY,
+    "AnalysisResult.wavefronts": OMIT_EMPTY,
+    "BenchmarkOutcome.evidence_accepted": OPTIONAL,
+    "BenchmarkOutcome.evidence_rejected": OPTIONAL,
+    "CU.stmts": (_write_stmt_ids, _read_stmt_ids),
+    "FusionCandidate.pipeline": (_write_pipeline_ref, _read_pipeline_ref),
+}
+
+#: Types with coders of their own, as (to_dict, from_dict).
+_TYPE_CODERS: dict[type, tuple[Callable, Callable]] = {
+    DiGraph: (_graph_to_dict, _graph_from_dict),
+    Program: (_program_to_dict, _program_from_dict),
+    Profile: (profile_to_dict, profile_from_dict),
+}
 
 
 # ---------------------------------------------------------------------------
-# document encoder/decoder
+# the codec
+# ---------------------------------------------------------------------------
+
+
+def dataclass_to_dict(obj: Any) -> dict[str, Any]:
+    """Encode dataclass instance *obj* as a JSON-compatible dict."""
+    return _coder(type(obj))[0](obj, None)
+
+
+def dataclass_from_dict(cls: type, data: dict[str, Any]) -> Any:
+    """Rebuild a *cls* instance from :func:`dataclass_to_dict` output.
+
+    Every field's key is required except those the rules make optional;
+    unknown keys are ignored, so producers may attach extension blocks.
+    """
+    return _coder(cls)[1](data, None)
+
+
+@functools.cache
+def _coder(hint: Any, key_order: bool = False) -> tuple[Callable | None, Callable | None]:
+    """``(encode, decode)`` for values annotated *hint*.
+
+    Each takes the value and the scope.  ``(None, None)`` means the value
+    is its own JSON (numbers, strings, booleans, ``None``, ``Any``).
+    """
+    if hint in _TYPE_CODERS:
+        to_dict, from_dict = _TYPE_CODERS[hint]
+        return (lambda v, s: to_dict(v)), (lambda d, s: from_dict(d))
+    if dataclasses.is_dataclass(hint):
+        return _object_coder(hint)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return (lambda v, s: v.value), (lambda d, s: hint(d))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _coder(inner)
+        if enc is None:
+            return None, None
+        return (
+            lambda v, s: None if v is None else enc(v, s),
+            lambda d, s: None if d is None else dec(d, s),
+        )
+    if origin in (list, set, tuple):
+        enc, dec = _coder(args[0])  # tuple elements are alike or all plain
+        if enc is None:
+            seq = sorted if origin is set else list
+            return (lambda v, s: seq(v)), (lambda d, s: origin(d))
+        if origin is set:
+            return (
+                lambda v, s: sorted([enc(x, s) for x in v]),
+                lambda d, s: {dec(x, s) for x in d},
+            )
+        return (
+            lambda v, s: [enc(x, s) for x in v],
+            lambda d, s: origin([dec(x, s) for x in d]),
+        )
+    if origin is dict:  # keys are plain JSON values
+        enc, dec = _coder(args[1])
+        items = (lambda v: sorted(v.items())) if key_order else dict.items
+        if enc is None:
+            return (lambda v, s: [[k, x] for k, x in items(v)]), (lambda d, s: dict(d))
+        return (
+            lambda v, s: [[k, enc(x, s)] for k, x in items(v)],
+            lambda d, s: {k: dec(x, s) for k, x in d},
+        )
+    return None, None
+
+
+def _object_coder(cls: type) -> tuple[Callable, Callable]:
+    """``(encode, decode)`` for dataclass *cls*, one field at a time.
+
+    Fields named with a leading underscore are memos, not content, and are
+    not written.  Encoding reads the fields from the instance's ``vars``.
+    """
+    hints = typing.get_type_hints(cls)
+    plain: list[str] = []  # fields whose values are their own JSON
+    writes, reads, refs = [], [], []
+    for f in dataclasses.fields(cls):
+        if f.name.startswith("_"):
+            continue
+        rule = _RULES.get(f"{cls.__name__}.{f.name}")
+        if isinstance(rule, tuple):
+            refs.append((f.name, *rule))
+            continue
+        enc, dec = _coder(hints[f.name], rule == KEY_ORDER)
+        if enc is None and rule is None:
+            plain.append(f.name)
+        else:
+            writes.append((f.name, enc, rule == OMIT_EMPTY))
+            reads.append((f.name, dec, rule in (OMIT_EMPTY, OPTIONAL)))
+
+    def encode(obj: Any, scope: dict[str, Any] | None) -> dict[str, Any]:
+        fields = vars(obj)
+        scope = fields if scope is None else scope
+        doc = {name: fields[name] for name in plain}
+        for name, enc, omit_empty in writes:
+            value = fields[name]
+            if value or not omit_empty:
+                doc[name] = value if enc is None else enc(value, scope)
+        for name, write, _ in refs:
+            write(doc, fields[name], scope)
+        return doc
+
+    def decode(data: dict[str, Any], scope: dict[str, Any] | None) -> Any:
+        kwargs = {name: data[name] for name in plain}
+        scope = kwargs if scope is None else scope
+        for name, dec, optional in reads:
+            if name in data or not optional:  # else the field's default
+                value = data[name]
+                kwargs[name] = value if dec is None else dec(value, scope)
+        for name, _, read in refs:
+            kwargs[name] = read(data, scope)
+        return cls(**kwargs)
+
+    return encode, decode
+
+
+# ---------------------------------------------------------------------------
+# the analysis document
 # ---------------------------------------------------------------------------
 
 
 def analysis_to_dict(result: AnalysisResult) -> dict[str, Any]:
     """Convert *result* to the versioned JSON-compatible document."""
-    if not result.program.source:
-        raise ValueError(
-            "analysis schema requires a source-bearing Program "
-            "(programs built without source text cannot be re-parsed on load)"
-        )
-    pipeline_index = {id(p): i for i, p in enumerate(result.pipelines)}
-
-    def fusion_to_dict(f: FusionCandidate) -> dict[str, Any]:
-        idx = pipeline_index.get(id(f.pipeline))
-        doc: dict[str, Any] = {"loop_x": f.loop_x, "loop_y": f.loop_y,
-                               "pipeline_index": idx}
-        if idx is None:  # detached candidate: inline the pipeline record
-            doc["pipeline"] = _pipeline_to_dict(f.pipeline)
-        return doc
-
-    doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "program": {"source": result.program.source},
-        "profile": profile_to_dict(result.profile),
-        "hotspots": [_hotspot_to_dict(h) for h in result.hotspots],
-        "loop_classes": [
-            [region, _loop_class_to_dict(lc)]
-            for region, lc in result.loop_classes.items()
-        ],
-        "pipelines": [_pipeline_to_dict(p) for p in result.pipelines],
-        "fusions": [fusion_to_dict(f) for f in result.fusions],
-        "tasks": [
-            [region, _task_to_dict(tp)] for region, tp in result.tasks.items()
-        ],
-        "geometric": [_geometric_to_dict(gd) for gd in result.geometric],
-        "reductions": [
-            [loop, [_reduction_to_dict(c) for c in candidates]]
-            for loop, candidates in result.reductions.items()
-        ],
-        "trace": _trace_to_dict(result.trace),
-    }
-    # Tolerated extension (no version bump), mirroring ``trace.spans``: the
-    # wavefronts block appears only when the detector found something, so
-    # documents for programs without wavefront shapes — including every
-    # document written before this key existed — are byte-identical.
-    if result.wavefronts:
-        doc["wavefronts"] = [_wavefront_to_dict(w) for w in result.wavefronts]
-    return doc
+    return {"schema_version": SCHEMA_VERSION, **dataclass_to_dict(result)}
 
 
 def analysis_from_dict(data: dict[str, Any]) -> AnalysisResult:
@@ -442,95 +303,7 @@ def analysis_from_dict(data: dict[str, Any]) -> AnalysisResult:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported analysis schema version {version!r}")
-    program = parse_program(data["program"]["source"])
-    profile = profile_from_dict(data["profile"])
-    result = AnalysisResult(
-        program=program,
-        profile=profile,
-        hotspots=[_hotspot_from_dict(h) for h in data["hotspots"]],
-        loop_classes={
-            region: _loop_class_from_dict(lc) for region, lc in data["loop_classes"]
-        },
-        pipelines=[_pipeline_from_dict(p) for p in data["pipelines"]],
-        tasks={region: _task_from_dict(tp, program) for region, tp in data["tasks"]},
-        geometric=[_geometric_from_dict(gd) for gd in data["geometric"]],
-        reductions={
-            loop: [_reduction_from_dict(c) for c in candidates]
-            for loop, candidates in data["reductions"]
-        },
-        wavefronts=[_wavefront_from_dict(w) for w in data.get("wavefronts", [])],
-        trace=_trace_from_dict(data["trace"]),
-    )
-    for f in data["fusions"]:
-        idx = f.get("pipeline_index")
-        pipeline = (
-            result.pipelines[idx]
-            if idx is not None
-            else _pipeline_from_dict(f["pipeline"])
-        )
-        result.fusions.append(
-            FusionCandidate(loop_x=f["loop_x"], loop_y=f["loop_y"], pipeline=pipeline)
-        )
-    return result
-
-
-# ---------------------------------------------------------------------------
-# learned-verdict extension block
-# ---------------------------------------------------------------------------
-
-#: Top-level key of the learned-classifier extension block.
-LEARNED_BLOCK_KEY = "learned"
-
-
-def attach_learned_verdicts(
-    doc: dict[str, Any],
-    *,
-    model_kind: str,
-    model_digest: str,
-    features_version: int,
-    verdicts: dict[str, bool],
-) -> dict[str, Any]:
-    """Attach a learned-classifier verdict block to an analysis document.
-
-    Tolerated extension (no version bump), mirroring ``wavefronts``: the
-    rule-based pipeline never emits this key, so every document produced
-    by :func:`analysis_to_dict` — including all benchmark goldens — stays
-    byte-identical whether or not the learned subsystem is installed.
-    Consumers that opt in stamp the predicting model's identity next to
-    its verdicts, so a document always names the artifact that judged it.
-    """
-    if not verdicts:
-        raise ValueError("learned block requires at least one verdict")
-    for dim, value in verdicts.items():
-        if not isinstance(dim, str) or not isinstance(value, bool):
-            raise ValueError(
-                f"learned verdicts must map str -> bool, got {dim!r}: {value!r}"
-            )
-    doc[LEARNED_BLOCK_KEY] = {
-        "model": model_kind,
-        "model_digest": model_digest,
-        "features_version": features_version,
-        "verdicts": dict(sorted(verdicts.items())),
-    }
-    return doc
-
-
-def learned_verdicts_from_dict(data: dict[str, Any]) -> dict[str, Any] | None:
-    """Read back an attached learned block (``None`` when absent).
-
-    Validates the shape written by :func:`attach_learned_verdicts`;
-    documents that never opted in pass through silently.
-    """
-    block = data.get(LEARNED_BLOCK_KEY)
-    if block is None:
-        return None
-    for key in ("model", "model_digest", "features_version", "verdicts"):
-        if key not in block:
-            raise ValueError(f"learned block missing key {key!r}")
-    for dim, value in block["verdicts"].items():
-        if not isinstance(value, bool):
-            raise ValueError(f"learned verdict for {dim!r} is not a bool")
-    return block
+    return dataclass_from_dict(AnalysisResult, data)
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +437,8 @@ def strip_trace_timings(doc: dict[str, Any]) -> dict[str, Any]:
     run has the profiling work; a service run adds queue-wait).  Stripping
     zeroes the stage timings and drops the spans block entirely, so two
     runs of the same analysis agree byte-for-byte on the canonical JSON of
-    their stripped forms — the identity the service's round-trip tests and
-    ``analysis_digest`` callers need (cf. the note on
-    :func:`analysis_digest`).
+    their stripped forms — the identity the service's round-trip tests
+    and the golden document digests need.
     """
     doc = dict(doc)
     trace = doc.get("trace")
@@ -678,34 +450,3 @@ def strip_trace_timings(doc: dict[str, Any]) -> dict[str, Any]:
     return doc
 
 
-def analysis_to_json(result: AnalysisResult, pretty: bool = False) -> str:
-    """Serialize *result* to JSON text.
-
-    ``pretty=False`` yields the canonical compact form (sorted keys, fixed
-    separators — byte-deterministic); ``pretty=True`` is the same document
-    indented for humans.
-    """
-    doc = analysis_to_dict(result)
-    if pretty:
-        return json.dumps(doc, sort_keys=True, indent=2)
-    return canonical_json(doc)
-
-
-def analysis_from_json(text: str) -> AnalysisResult:
-    """Rebuild a result from :func:`analysis_to_json` output."""
-    return analysis_from_dict(json.loads(text))
-
-
-def canonical_analysis_json(result: AnalysisResult) -> str:
-    """The canonical byte-deterministic JSON text (compact form)."""
-    return analysis_to_json(result, pretty=False)
-
-
-def analysis_digest(result: AnalysisResult) -> str:
-    """SHA-256 hex digest of the canonical JSON — a content address.
-
-    Note the document includes the trace's wall-clock timings, so digests
-    differ across runs; strip the trace first for a timing-independent
-    identity (``result.trace = None``).
-    """
-    return hashlib.sha256(canonical_analysis_json(result).encode("utf-8")).hexdigest()

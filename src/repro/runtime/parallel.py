@@ -28,10 +28,11 @@ Guarantees:
   multi-megabyte :class:`AnalysisResult` objects, keeping pickling off the
   critical path.
 * **Versioned records** — outcomes and failures serialize through
-  ``to_dict``/``from_dict`` stamped with the analysis ``schema_version``
-  (see :mod:`repro.patterns.schema`), the same document convention the
-  CLI's ``--json`` modes emit; :func:`outcome_from_dict` dispatches on the
-  ``"failed"`` marker.
+  ``to_dict``/``from_dict``, which stamp and check the analysis
+  ``schema_version`` and leave the fields to the schema's dataclass codec
+  (:mod:`repro.patterns.schema`), so a field added to either record is
+  written and read with no further code; :func:`outcome_from_dict`
+  dispatches on the ``"failed"`` marker.
 
 An optional shared profile cache directory lets workers reuse on-disk
 profiles (writes are atomic, so concurrent workers are safe).
@@ -89,46 +90,14 @@ class BenchmarkOutcome:
 
     def to_dict(self) -> dict[str, Any]:
         """Versioned JSON-compatible record (the analysis schema version)."""
-        from repro.patterns.schema import SCHEMA_VERSION
+        from repro.patterns.schema import SCHEMA_VERSION, dataclass_to_dict
 
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "name": self.name,
-            "suite": self.suite,
-            "loc": self.loc,
-            "label": self.label,
-            "primary_share": self.primary_share,
-            "best_speedup": self.best_speedup,
-            "best_threads": self.best_threads,
-            "pipelines": [list(p) for p in self.pipelines],
-            "profile_digest": self.profile_digest,
-            "evidence_accepted": self.evidence_accepted,
-            "evidence_rejected": self.evidence_rejected,
-        }
+        return {"schema_version": SCHEMA_VERSION, **dataclass_to_dict(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "BenchmarkOutcome":
         """Rebuild an outcome from :meth:`to_dict`; rejects other versions."""
-        from repro.patterns.schema import SCHEMA_VERSION
-
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported outcome schema version {version!r}")
-        if data.get("failed"):
-            raise ValueError("failure record passed to BenchmarkOutcome.from_dict")
-        return cls(
-            name=data["name"],
-            suite=data["suite"],
-            loc=data["loc"],
-            label=data["label"],
-            primary_share=data["primary_share"],
-            best_speedup=data["best_speedup"],
-            best_threads=data["best_threads"],
-            pipelines=tuple(tuple(p) for p in data["pipelines"]),
-            profile_digest=data["profile_digest"],
-            evidence_accepted=data.get("evidence_accepted", 0),
-            evidence_rejected=data.get("evidence_rejected", 0),
-        )
+        return _record_from_dict(cls, data)
 
 
 @dataclass(frozen=True)
@@ -159,35 +128,27 @@ class FailedOutcome:
 
     def to_dict(self) -> dict[str, Any]:
         """Versioned JSON-compatible failure record."""
-        from repro.patterns.schema import SCHEMA_VERSION
+        from repro.patterns.schema import SCHEMA_VERSION, dataclass_to_dict
 
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "failed": True,
-            "name": self.name,
-            "error_type": self.error_type,
-            "message": self.message,
-            "traceback_summary": self.traceback_summary,
-            "attempts": self.attempts,
-        }
+        return {"schema_version": SCHEMA_VERSION, "failed": True, **dataclass_to_dict(self)}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FailedOutcome":
         """Rebuild a failure record from :meth:`to_dict`."""
-        from repro.patterns.schema import SCHEMA_VERSION
+        return _record_from_dict(cls, data)
 
-        version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported outcome schema version {version!r}")
-        if not data.get("failed"):
-            raise ValueError("success record passed to FailedOutcome.from_dict")
-        return cls(
-            name=data["name"],
-            error_type=data["error_type"],
-            message=data["message"],
-            traceback_summary=data["traceback_summary"],
-            attempts=data["attempts"],
-        )
+
+def _record_from_dict(cls, data: dict[str, Any]):
+    """Decode an outcome record of *cls*'s kind, checking version and kind."""
+    from repro.patterns.schema import SCHEMA_VERSION, dataclass_from_dict
+
+    version = data.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported outcome schema version {version!r}")
+    if bool(data.get("failed")) == cls.ok:
+        kind = "failure" if cls.ok else "success"
+        raise ValueError(f"{kind} record passed to {cls.__name__}.from_dict")
+    return dataclass_from_dict(cls, data)
 
 
 def outcome_from_dict(data: dict[str, Any]) -> "BenchmarkOutcome | FailedOutcome":

@@ -1,26 +1,24 @@
 """Versioned analysis schema tests: round-trip fidelity, version gating,
-and the BenchmarkOutcome record convention."""
+what decoding requires, and the BenchmarkOutcome record convention."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro.bench_programs.registry import analyze_benchmark
 from repro.patterns.engine import (
     analyze,
     primary_pattern_regions,
     summarize_patterns,
 )
-from repro.patterns.framework import AnalysisResult
 from repro.patterns.schema import (
     SCHEMA_VERSION,
     analysis_from_dict,
-    analysis_from_json,
     analysis_to_dict,
-    analysis_to_json,
-    canonical_analysis_json,
     strip_trace_timings,
 )
+from repro.profiling.serialize import canonical_json
 from repro.runtime.parallel import BenchmarkOutcome
 
 from conftest import parsed
@@ -63,18 +61,20 @@ def pipeline_result():
 
 class TestRoundTrip:
     def test_compact_json_round_trips_byte_identically(self, reduction_result):
-        text = canonical_analysis_json(reduction_result)
-        restored = analysis_from_json(text)
-        assert canonical_analysis_json(restored) == text
+        text = canonical_json(analysis_to_dict(reduction_result))
+        restored = analysis_from_dict(json.loads(text))
+        assert canonical_json(analysis_to_dict(restored)) == text
 
     def test_pretty_and_compact_agree(self, reduction_result):
-        pretty = analysis_to_json(reduction_result, pretty=True)
-        compact = analysis_to_json(reduction_result, pretty=False)
+        # the CLI's two --json forms of one document
+        pretty = json.dumps(analysis_to_dict(reduction_result), indent=2, sort_keys=True)
+        compact = canonical_json(analysis_to_dict(reduction_result))
         assert pretty != compact
         assert json.loads(pretty) == json.loads(compact)
 
     def test_label_and_regions_preserved(self, pipeline_result):
-        restored = AnalysisResult.from_json(pipeline_result.to_json())
+        text = canonical_json(analysis_to_dict(pipeline_result))
+        restored = analysis_from_dict(json.loads(text))
         assert summarize_patterns(restored) == summarize_patterns(pipeline_result)
         assert primary_pattern_regions(restored) == primary_pattern_regions(
             pipeline_result
@@ -162,6 +162,51 @@ class TestVersioning:
         assert summarize_patterns(restored) == summarize_patterns(reduction_result)
 
 
+class TestDecoding:
+    """Decoding requires every key it has no default for, loads documents
+    without the extension blocks, and checks references into the program."""
+
+    @pytest.fixture
+    def doc(self):
+        # reg_detect's document has hotspots, loop classes, tasks, spans
+        # and a wavefront; each test gets a fresh copy to damage
+        return analysis_to_dict(analyze_benchmark("reg_detect"))
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("hotspots", 0, "share"),
+            ("loop_classes", 0, 1, "classification"),
+            ("tasks", 0, 1, "cus", 0, "stmt_ids"),
+        ],
+        ids=lambda path: path[-1],
+    )
+    def test_required_key_missing_raises(self, doc, path):
+        *parents, key = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        del node[key]
+        with pytest.raises(KeyError, match=key):
+            analysis_from_dict(doc)
+
+    def test_extension_blocks_missing_load_empty(self, doc):
+        assert doc["wavefronts"] and doc["trace"]["spans"]
+        del doc["wavefronts"]
+        del doc["trace"]["spans"]
+        restored = analysis_from_dict(doc)
+        assert restored.wavefronts == []
+        assert restored.trace.spans == []
+
+    def test_unknown_cu_statement_id_raises(self, doc):
+        # a document whose CUs and source disagree must not load with
+        # shortened CUs: the detectors index a CU's statements
+        cu = doc["tasks"][0][1]["cus"][0]
+        cu["stmt_ids"].append(10**6)
+        with pytest.raises(ValueError, match=rf"CU {cu['cu_id']}\b.*\b{10**6}\b"):
+            analysis_from_dict(doc)
+
+
 class TestBenchmarkOutcome:
     OUTCOME = BenchmarkOutcome(
         name="demo",
@@ -188,3 +233,17 @@ class TestBenchmarkOutcome:
         doc["schema_version"] = 99
         with pytest.raises(ValueError, match="version"):
             BenchmarkOutcome.from_dict(doc)
+
+    def test_label_required(self):
+        doc = self.OUTCOME.to_dict()
+        del doc["label"]
+        with pytest.raises(KeyError, match="label"):
+            BenchmarkOutcome.from_dict(doc)
+
+    def test_evidence_counts_optional(self):
+        # records written before the evidence counts existed still load
+        doc = self.OUTCOME.to_dict()
+        del doc["evidence_accepted"], doc["evidence_rejected"]
+        outcome = BenchmarkOutcome.from_dict(doc)
+        assert (outcome.evidence_accepted, outcome.evidence_rejected) == (0, 0)
+        assert outcome.label == self.OUTCOME.label

@@ -150,7 +150,7 @@ class TestCli:
         assert "| NO |" not in text  # every label matches
 
     def test_analyze_json(self, tmp_path, capsys):
-        from repro.patterns.schema import SCHEMA_VERSION, analysis_from_json
+        from repro.patterns.schema import SCHEMA_VERSION, analysis_from_dict
         from repro.patterns.engine import summarize_patterns
 
         path = tmp_path / "total.minic"
@@ -161,7 +161,7 @@ class TestCli:
         pretty = capsys.readouterr().out
         doc = json.loads(pretty)
         assert doc["schema_version"] == SCHEMA_VERSION
-        assert summarize_patterns(analysis_from_json(pretty)) == "Reduction"
+        assert summarize_patterns(analysis_from_dict(doc)) == "Reduction"
         # compact mode: one line, same document (modulo the re-run's
         # trace wall-clock, which is telemetry, not analysis output)
         assert main(base + ["--json", "--compact"]) == 0

@@ -1,4 +1,4 @@
-"""The learned detection baseline: features, models, eval, CLI, schema.
+"""The learned detection baseline: features, models, eval, CLI.
 
 The properties locked here are the ones the subsystem exists to provide:
 feature vectors are versioned and finite, training is a pure function of
@@ -33,11 +33,6 @@ from repro.learn import (
     train_model,
     train_on_corpus,
     validate_model_record,
-)
-from repro.patterns.schema import (
-    LEARNED_BLOCK_KEY,
-    attach_learned_verdicts,
-    learned_verdicts_from_dict,
 )
 from repro.profiling.serialize import canonical_json
 
@@ -208,45 +203,6 @@ class TestEvaluate:
         generate_corpus(1, 0, out)
         with pytest.raises(ValueError, match="empty side|>= 2"):
             evaluate_corpus(load_corpus(out))
-
-
-class TestLearnedSchemaBlock:
-    def test_round_trip(self):
-        doc = {"schema_version": 1}
-        attach_learned_verdicts(
-            doc, model_kind="logistic", model_digest="abc",
-            features_version=FEATURES_VERSION,
-            verdicts={"doall": True, "reduction": False},
-        )
-        block = learned_verdicts_from_dict(doc)
-        assert block["verdicts"] == {"doall": True, "reduction": False}
-        assert block["model"] == "logistic"
-
-    def test_absent_block_reads_as_none(self):
-        assert learned_verdicts_from_dict({"schema_version": 1}) is None
-
-    def test_rule_pipeline_never_emits_the_key(self, suite):
-        # Table III byte-identity depends on this: the analysis document
-        # gains the learned block only when a consumer opts in.
-        from repro.corpus.score import analyze_entry
-        from repro.patterns.schema import analysis_to_dict
-
-        result = analyze_entry(suite.entries[0])
-        assert LEARNED_BLOCK_KEY not in analysis_to_dict(result)
-
-    def test_malformed_blocks_rejected(self):
-        with pytest.raises(ValueError, match="verdict"):
-            attach_learned_verdicts(
-                {}, model_kind="tree", model_digest="d",
-                features_version=1, verdicts={},
-            )
-        with pytest.raises(ValueError, match="bool"):
-            attach_learned_verdicts(
-                {}, model_kind="tree", model_digest="d",
-                features_version=1, verdicts={"doall": 1},
-            )
-        with pytest.raises(ValueError, match="missing"):
-            learned_verdicts_from_dict({LEARNED_BLOCK_KEY: {"model": "x"}})
 
 
 class TestCli:
