@@ -25,15 +25,12 @@ from dataclasses import dataclass, field
 
 from repro.cu.model import CU
 from repro.errors import AnalysisError
-from repro.lang.analysis import (
-    stmt_calls,
-    stmt_declares,
-    stmt_lines,
-    stmt_reads,
-    stmt_writes,
-)
+from repro.lang.analysis import expr_reads
 from repro.lang.ast_nodes import (
+    ArrayRef,
+    Assign,
     Break,
+    Call,
     Continue,
     For,
     If,
@@ -41,7 +38,10 @@ from repro.lang.ast_nodes import (
     Return,
     Stmt,
     VarDecl,
+    VarRef,
     While,
+    stmt_exprs,
+    walk_exprs,
     walk_stmts,
 )
 
@@ -67,55 +67,58 @@ class _Unit:
     early_exit: bool = False
 
 
-def _contains_call_or_loop(stmt: Stmt, user_funcs: set[str]) -> bool:
+def _unit_for_stmt(stmt: Stmt, user_funcs: set[str]) -> tuple[_Unit, bool]:
+    """The unit of *stmt*, and whether its subtree holds a loop or a call
+    of a user function (which makes an ``If`` transparent).
+
+    One walk over the subtree collects every line, read, write,
+    declaration and user-function call, in the statement walk's order.
+    """
+    lines: set[int] = set()
+    reads: set[str] = set()
+    writes: set[str] = set()
+    declares: set[str] = set()
+    callees: list[str] = []
+    has_loop = has_return = False
     for s in walk_stmts([stmt]):
-        if isinstance(s, (For, While)):
-            return True
-        for call in stmt_calls(s, recursive=False):
-            if call.name in user_funcs:
-                return True
-    return False
-
-
-def _contains_return(stmt: Stmt) -> bool:
-    return any(isinstance(s, Return) for s in walk_stmts([stmt]))
-
-
-def _unit_for_stmt(stmt: Stmt, user_funcs: set[str]) -> _Unit:
-    calls = [c.name for c in stmt_calls(stmt) if c.name in user_funcs]
+        lines.add(s.line)
+        if isinstance(s, Assign):
+            writes.add(s.target.name)
+            if s.op != "=":  # compound assignment also reads the target
+                reads.add(s.target.name)
+        elif isinstance(s, VarDecl):
+            declares.add(s.name)
+            if s.init is not None or not s.dims:
+                writes.add(s.name)
+        elif isinstance(s, (For, While)):
+            has_loop = True
+        elif isinstance(s, Return):
+            has_return = True
+        for root in stmt_exprs(s):
+            for node in walk_exprs(root):
+                if node.line:
+                    lines.add(node.line)
+                if isinstance(node, (VarRef, ArrayRef)):
+                    reads.add(node.name)
+                elif isinstance(node, Call) and node.name in user_funcs:
+                    callees.append(node.name)
+    early_exit = isinstance(stmt, If) and has_return
     if isinstance(stmt, (For, While)):
         kind = "loop"
-    elif calls:
+    elif callees:
         kind = "call"
-    elif isinstance(stmt, Return) or (isinstance(stmt, If) and _contains_return(stmt)):
+    elif isinstance(stmt, Return) or early_exit:
         kind = "return"
     else:
         kind = "plain"
-    return _Unit(
-        kind=kind,
-        stmts=[stmt],
-        lines=stmt_lines(stmt),
-        reads=stmt_reads(stmt),
-        writes=stmt_writes(stmt),
-        declares=stmt_declares(stmt),
-        callees=calls,
-        early_exit=isinstance(stmt, If) and _contains_return(stmt),
-    )
+    unit = _Unit(kind=kind, stmts=[stmt], lines=lines, reads=reads, writes=writes,
+                 declares=declares, callees=callees, early_exit=early_exit)
+    return unit, has_loop or bool(callees)
 
 
 def _flatten_units(body: list[Stmt], user_funcs: set[str]) -> list[_Unit]:
     units: list[_Unit] = []
     for stmt in body:
-        if isinstance(stmt, If) and _contains_call_or_loop(stmt, user_funcs):
-            # transparent if: guard + flattened branches
-            guard = _Unit(kind="guard", stmts=[stmt], lines={stmt.line})
-            from repro.lang.analysis import expr_reads
-
-            guard.reads = expr_reads(stmt.cond)
-            units.append(guard)
-            units.extend(_flatten_units(stmt.then_body, user_funcs))
-            units.extend(_flatten_units(stmt.else_body, user_funcs))
-            continue
         if isinstance(stmt, (Break, Continue)):
             continue
         if isinstance(stmt, Return) and stmt.value is None:
@@ -123,7 +126,16 @@ def _flatten_units(body: list[Stmt], user_funcs: set[str]) -> list[_Unit]:
         if isinstance(stmt, VarDecl) and stmt.init is None and not stmt.dims:
             # bare scalar declaration: pure bookkeeping, no unit
             continue
-        units.append(_unit_for_stmt(stmt, user_funcs))
+        unit, holds_loop_or_call = _unit_for_stmt(stmt, user_funcs)
+        if isinstance(stmt, If) and holds_loop_or_call:
+            # transparent if: guard + flattened branches
+            guard = _Unit(kind="guard", stmts=[stmt], lines={stmt.line})
+            guard.reads = expr_reads(stmt.cond)
+            units.append(guard)
+            units.extend(_flatten_units(stmt.then_body, user_funcs))
+            units.extend(_flatten_units(stmt.else_body, user_funcs))
+            continue
+        units.append(unit)
     return units
 
 

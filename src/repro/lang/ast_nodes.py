@@ -280,26 +280,31 @@ class Region:
 # ---------------------------------------------------------------------------
 
 
-def child_stmts(stmt: Stmt) -> Iterator[Stmt]:
-    """Yield the immediate child statements of *stmt* (bodies flattened)."""
-    if isinstance(stmt, If):
-        yield from stmt.then_body
-        yield from stmt.else_body
-    elif isinstance(stmt, For):
-        if stmt.init is not None:
-            yield stmt.init
-        if stmt.step is not None:
-            yield stmt.step
-        yield from stmt.body
-    elif isinstance(stmt, While):
-        yield from stmt.body
-
-
 def walk_stmts(body: list[Stmt]) -> Iterator[Stmt]:
-    """Yield every statement in *body*, depth-first, including nested ones."""
-    for stmt in body:
+    """Yield every statement in *body*, depth-first, including nested ones.
+
+    Preorder: a statement, then its children -- an ``If``'s then-branch and
+    else-branch, a ``For``'s init, step and body, a ``While``'s body.  Site
+    ids, CU ids and dependence insertion order all follow this order.  The
+    walk keeps its own stack, so nesting costs no Python frames; it reads a
+    statement's children when it resumes after yielding the statement.
+    """
+    stack = list(body)
+    stack.reverse()
+    while stack:
+        stmt = stack.pop()
         yield stmt
-        yield from walk_stmts(list(child_stmts(stmt)))
+        if isinstance(stmt, If):
+            stack += stmt.else_body[::-1]
+            stack += stmt.then_body[::-1]
+        elif isinstance(stmt, For):
+            stack += stmt.body[::-1]
+            if stmt.step is not None:
+                stack.append(stmt.step)
+            if stmt.init is not None:
+                stack.append(stmt.init)
+        elif isinstance(stmt, While):
+            stack += stmt.body[::-1]
 
 
 def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
@@ -327,19 +332,24 @@ def stmt_exprs(stmt: Stmt) -> Iterator[Expr]:
 
 
 def walk_exprs(expr: Expr) -> Iterator[Expr]:
-    """Yield *expr* and every sub-expression, depth-first."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk_exprs(expr.left)
-        yield from walk_exprs(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_exprs(expr.operand)
-    elif isinstance(expr, ArrayRef):
-        for ix in expr.indices:
-            yield from walk_exprs(ix)
-    elif isinstance(expr, Call):
-        for arg in expr.args:
-            yield from walk_exprs(arg)
+    """Yield *expr* and every sub-expression, depth-first.
+
+    Preorder, left operand before right and indices and arguments in
+    source order, from an explicit stack like :func:`walk_stmts`.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, BinOp):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, UnaryOp):
+            stack.append(node.operand)
+        elif isinstance(node, ArrayRef):
+            stack += node.indices[::-1]
+        elif isinstance(node, Call):
+            stack += node.args[::-1]
 
 
 def _induction_vars(loop: For | While) -> frozenset[str]:

@@ -1,12 +1,23 @@
-"""Hand-written lexer for MiniC.
+"""Lexer for MiniC: one compiled pattern, matched at each offset.
 
 The lexer turns source text into a list of :class:`~repro.lang.tokens.Token`.
 It supports ``//`` line comments and ``/* */`` block comments, decimal integer
 and floating-point literals (with optional exponent), identifiers, keywords,
 and the operator/punctuation set of MiniC.
+
+``_TOKEN`` has one named group per lexical class, tried in order at each
+offset: newline, blanks, line comment, block-comment opener, number,
+identifier, operator (the multi-character ones longest first, so ``<<=``
+beats ``<=`` beats ``<``), punctuation.  The loop dispatches on the group
+that matched.  A digit is a Unicode decimal digit (``\\d``); an identifier
+starts with a letter or ``_`` and goes on with letters, digits (any
+``str.isalnum`` character) and ``_``.  A token's column is its offset from
+the start of its line, plus one.
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.errors import LexError
 from repro.lang.tokens import (
@@ -18,114 +29,74 @@ from repro.lang.tokens import (
     TokenType,
 )
 
+_TOKEN = re.compile(
+    "|".join(
+        [
+            r"(?P<newline>\n)",
+            r"(?P<blank>[ \t\r]+)",
+            r"(?P<line_comment>//[^\n]*)",
+            r"(?P<block_comment>/\*)",
+            r"(?P<number>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)",
+            # \w less decimal digits; the loop refuses the non-letters left
+            # (numerics such as '²' that are not decimal digits).
+            r"(?P<ident>[^\W\d]\w*)",
+            "(?P<op>"
+            + "|".join(map(re.escape, MULTI_CHAR_OPS))
+            + "|["
+            + re.escape("".join(sorted(SINGLE_CHAR_OPS)))
+            + "])",
+            "(?P<punct>[" + re.escape("".join(sorted(PUNCT_CHARS))) + "])",
+        ]
+    )
+)
+
+_IDENT, _KEYWORD, _OP, _PUNCT = TokenType.IDENT, TokenType.KEYWORD, TokenType.OP, TokenType.PUNCT
+
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize MiniC *source*, returning tokens terminated by an EOF token."""
     tokens: list[Token] = []
+    append = tokens.append
+    match = _TOKEN.match
     line = 1
-    col = 1
+    line_start = 0  # offset of the current line's first character
     i = 0
     n = len(source)
-
-    def error(msg: str) -> LexError:
-        return LexError(msg, line=line)
-
     while i < n:
-        ch = source[i]
-
-        # -- whitespace -------------------------------------------------
-        if ch == "\n":
+        m = match(source, i)
+        if m is None:
+            raise LexError(f"unexpected character {source[i]!r}", line=line)
+        kind = m.lastgroup
+        j = m.end()
+        if kind == "blank":
+            pass
+        elif kind == "ident":
+            text = m.group()
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise LexError(f"unexpected character {text[0]!r}", line=line)
+            append(Token(_KEYWORD if text in KEYWORDS else _IDENT, text, line, i - line_start + 1))
+        elif kind == "punct":
+            append(Token(_PUNCT, m.group(), line, i - line_start + 1))
+        elif kind == "op":
+            append(Token(_OP, m.group(), line, i - line_start + 1))
+        elif kind == "newline":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-
-        # -- comments ---------------------------------------------------
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise error("unterminated block comment")
-            line += source.count("\n", i, end)
-            i = end + 2
-            col = 1
-            continue
-
-        start_col = col
-
-        # -- numbers ----------------------------------------------------
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k].isdigit():
-                    is_float = True
-                    j = k
-                    while j < n and source[j].isdigit():
-                        j += 1
-            text = source[i:j]
+            line_start = j
+        elif kind == "number":
+            text = m.group()
             if j < n and (source[j].isalpha() or source[j] == "_"):
-                raise error(f"invalid numeric literal {text + source[j]!r}")
-            ttype = TokenType.FLOAT_LIT if is_float else TokenType.INT_LIT
-            tokens.append(Token(ttype, text, line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        # -- identifiers and keywords ------------------------------------
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            ttype = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(ttype, text, line, start_col))
-            col += j - i
-            i = j
-            continue
-
-        # -- multi-char operators ----------------------------------------
-        matched = False
-        for op in MULTI_CHAR_OPS:
-            if source.startswith(op, i):
-                tokens.append(Token(TokenType.OP, op, line, start_col))
-                i += len(op)
-                col += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-
-        # -- single-char operators and punctuation -----------------------
-        if ch in SINGLE_CHAR_OPS:
-            tokens.append(Token(TokenType.OP, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in PUNCT_CHARS:
-            tokens.append(Token(TokenType.PUNCT, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token(TokenType.EOF, "", line, col))
+                raise LexError(f"invalid numeric literal {text + source[j]!r}", line=line)
+            ttype = TokenType.INT_LIT if text.isdecimal() else TokenType.FLOAT_LIT
+            append(Token(ttype, text, line, i - line_start + 1))
+        elif kind == "block_comment":
+            end = source.find("*/", j)
+            if end == -1:
+                raise LexError("unterminated block comment", line=line)
+            newlines = source.count("\n", j, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", j, end) + 1
+            j = end + 2
+        i = j  # a line comment needs nothing else: its newline follows
+    append(Token(TokenType.EOF, "", line, n - line_start + 1))
     return tokens

@@ -73,13 +73,16 @@ _TYPES = ("int", "float", "void")
 class _Parser:
     def __init__(self, source: str) -> None:
         self.tokens = tokenize(source)
+        # The cursor never passes the EOF token and looks at most two
+        # tokens ahead, so two more EOFs keep every peek in range.
+        self.tokens += self.tokens[-1:] * 2
         self.pos = 0
         self.source = source
 
     # -- token helpers ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
@@ -88,7 +91,8 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().type is not TokenType.EOF
+        tok = self.tokens[self.pos]
+        return tok.text == text and tok.type is not TokenType.EOF
 
     def accept(self, text: str) -> bool:
         if self.at(text):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class TokenType(enum.Enum):
@@ -60,14 +59,32 @@ SINGLE_CHAR_OPS = frozenset("+-*/%<>=!&|")
 PUNCT_CHARS = frozenset("(){}[];,")
 
 
-@dataclass(frozen=True)
 class Token:
-    """A single lexical token with its 1-based source position."""
+    """A single lexical token with its 1-based source position.
 
-    type: TokenType
-    text: str
-    line: int
-    col: int
+    A value: tokens compare and hash by type, text, line and column, and
+    nothing assigns to one after the lexer builds it.  ``__slots__`` and a
+    plain ``__init__`` make the lexer's one construction per token cheap.
+    """
+
+    __slots__ = ("type", "text", "line", "col")
+
+    def __init__(self, type: TokenType, text: str, line: int, col: int) -> None:
+        self.type = type
+        self.text = text
+        self.line = line
+        self.col = col
+
+    def _key(self) -> tuple[TokenType, str, int, int]:
+        return (self.type, self.text, self.line, self.col)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.type.name}, {self.text!r}, L{self.line}:{self.col})"

@@ -137,7 +137,20 @@ def _read_pipeline_ref(data: dict[str, Any], scope: dict[str, Any]) -> MultiLoop
     index = data.get("pipeline_index")
     if index is None:
         return _coder(MultiLoopPipeline)[1](data["pipeline"], scope)
-    return scope["pipelines"][index]
+    pipelines = scope["pipelines"]
+    loops = (data["loop_x"], data["loop_y"])
+    if type(index) is not int or index not in range(len(pipelines)):
+        raise ValueError(
+            f"fusion {loops} names pipeline index {index!r}, "
+            f"which is not an index into the document's {len(pipelines)} pipelines"
+        )
+    pipeline = pipelines[index]
+    if (pipeline.loop_x, pipeline.loop_y) != loops:
+        raise ValueError(
+            f"fusion {loops} names pipeline index {index}, "
+            f"which is the pipeline of loops {(pipeline.loop_x, pipeline.loop_y)}"
+        )
+    return pipeline
 
 
 #: Fields coded otherwise than by their annotation, as ``Class.field``.

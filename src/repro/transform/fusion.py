@@ -27,7 +27,6 @@ from repro.lang.ast_nodes import (
     VarDecl,
     VarLV,
     VarRef,
-    child_stmts,
     stmt_exprs,
     walk_exprs,
     walk_stmts,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.bench_programs.registry import analyze_benchmark
+from repro.corpus import generate_programs
 from repro.patterns.engine import (
     analyze,
     primary_pattern_regions,
@@ -20,6 +21,7 @@ from repro.patterns.schema import (
 )
 from repro.profiling.serialize import canonical_json
 from repro.runtime.parallel import BenchmarkOutcome
+from repro.service.jobs import build_call_args
 
 from conftest import parsed
 
@@ -204,6 +206,24 @@ class TestDecoding:
         cu = doc["tasks"][0][1]["cus"][0]
         cu["stmt_ids"].append(10**6)
         with pytest.raises(ValueError, match=rf"CU {cu['cu_id']}\b.*\b{10**6}\b"):
+            analysis_from_dict(doc)
+
+    @pytest.fixture(scope="class")
+    def two_pipelines(self):
+        tp = generate_programs(200, seed=7, adversarial=True)[2]
+        return analyzed(tp.source, tp.entry, build_call_args(tp.arg_specs, seed=0))
+
+    @pytest.mark.parametrize("index", [-1, 1, 2, 0.0])
+    def test_fusion_pipeline_index_must_name_its_pipeline(self, two_pipelines, index):
+        # a corpus pipeline program with pipelines (1, 2) and (2, 3) and a
+        # fusion of loops (1, 2) stored as pipeline index 0: -1 and 1 name
+        # the other pipeline, 2 and 0.0 name none
+        doc = analysis_to_dict(two_pipelines)
+        assert [(p["loop_x"], p["loop_y"]) for p in doc["pipelines"]] == [(1, 2), (2, 3)]
+        fusion = doc["fusions"][0]
+        assert (fusion["loop_x"], fusion["loop_y"], fusion["pipeline_index"]) == (1, 2, 0)
+        fusion["pipeline_index"] = index
+        with pytest.raises(ValueError, match=rf"fusion \(1, 2\) names pipeline index {index}\b"):
             analysis_from_dict(doc)
 
 
