@@ -52,7 +52,7 @@ class BenchmarkSpec:
         validate_program(program)
         return program
 
-    @property
+    @functools.cached_property
     def loc(self) -> int:
         return source_loc(self.source)
 

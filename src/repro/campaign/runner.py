@@ -53,10 +53,10 @@ def run_campaign(
 ) -> dict[str, Any]:
     """Execute *cells* under campaign *name*; returns the run summary.
 
-    *client* is a :class:`~repro.service.client.ServiceClient` (or
-    anything with ``submit_benchmark``/``wait``).  Failed cells record a
-    structured error and do not stop the campaign (the registry sweep's
-    keep-going posture).
+    *client* is a :class:`~repro.service.client.ServiceClient`: the grid
+    goes out through its ``submit_many`` and each result comes back
+    through its ``wait``.  Failed cells record a structured error and do
+    not stop the campaign (the registry sweep's keep-going posture).
 
     Execution is pipelined: every cell that needs the service is
     submitted up front (the daemon's workers start immediately and
@@ -95,7 +95,7 @@ def run_campaign(
                 continue
             to_submit.append((cell, digest))
         in_flight: list[tuple[CampaignCell, str, int]] = []
-        if to_submit and hasattr(client, "submit_many"):
+        if to_submit:
             # One POST for the whole grid: the server validates every cell
             # before admitting any, and the client absorbs queue-full by
             # resubmitting only the unaccepted tail.
@@ -107,14 +107,6 @@ def run_campaign(
                 (cell, digest, job["id"])
                 for (cell, digest), job in zip(to_submit, jobs)
             ]
-        else:
-            # minimal-client fallback: anything with submit_benchmark/wait
-            for cell, digest in to_submit:
-                with span("campaign.submit", cell=cell.cell_id):
-                    job = client.submit_benchmark(cell.program, **{
-                        k: v for k, v in cell_payload(cell).items() if k != "name"
-                    })
-                in_flight.append((cell, digest, job["id"]))
         for cell, digest, job_id in in_flight:
             with span("campaign.collect", cell=cell.cell_id):
                 record = client.wait(job_id, timeout=timeout, poll=poll)

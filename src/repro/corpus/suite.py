@@ -30,7 +30,6 @@ from repro.corpus.labels import (
     validate_label_record,
     validate_manifest_record,
 )
-from repro.lang.analysis import source_loc
 
 #: ``os.pathsep``-separated corpus directories that child processes (sweep
 #: workers, service process backends) re-register on first registry load.
@@ -130,7 +129,7 @@ def _entry_spec(suite_name: str, entry: CorpusEntry):
         entry=entry.entry,
         make_arg_sets=lambda specs=entry.arg_specs: [build_call_args(specs, seed=0)],
         paper=PaperRow(
-            loc=source_loc(entry.source),
+            loc=0,
             hotspot_pct=0.0,
             speedup=1.0,
             threads=1,

@@ -27,6 +27,7 @@ from repro.lang.ast_nodes import (
     walk_exprs,
     walk_stmts,
 )
+from repro.lang.lexer import tokenize
 
 
 def expr_reads(expr: Expr) -> set[str]:
@@ -167,26 +168,9 @@ def array_names(program: Program) -> set[str]:
 
 
 def source_loc(source: str) -> int:
-    """Non-blank, non-comment-only lines of code, matching Table III's LOC."""
-    count = 0
-    in_block = False
-    for raw in source.splitlines():
-        line = raw.strip()
-        if in_block:
-            if "*/" in line:
-                in_block = False
-                line = line.split("*/", 1)[1].strip()
-            else:
-                continue
-        if line.startswith("/*"):
-            if "*/" not in line:
-                in_block = True
-                continue
-            line = line.split("*/", 1)[1].strip()
-        if not line or line.startswith("//"):
-            continue
-        count += 1
-    return count
+    """Lines holding at least one token — Table III's LOC, which counts
+    neither blank lines nor lines that only hold comments."""
+    return len({tok.line for tok in tokenize(source)[:-1]})
 
 
 @dataclass

@@ -138,7 +138,6 @@ class LoopClassesDetector(Detector):
     """Stage 1: classify every executed loop (cheap, quoted everywhere)."""
 
     name = "loop-classes"
-    stage = "loop-classes"
 
     def run(
         self, ctx: AnalysisContext, result: AnalysisResult, trace: StageTrace

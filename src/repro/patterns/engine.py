@@ -3,14 +3,16 @@
 ``analyze`` profiles the program (optionally with several inputs, merged)
 and applies the Section III detectors to the hotspot regions, mirroring the
 paper's pipeline: hotspots from the PET → CU graphs → pattern detectors.
-The detectors themselves are pluggable stages resolved from a
-:class:`repro.patterns.framework.DetectorRegistry`; pass a custom registry
-to ``analyze``/``analyze_profile`` to add, replace, or drop stages.
+The detectors are the stages of
+:func:`repro.patterns.framework.default_registry`;
+:func:`repro.patterns.framework.run_detectors` runs any other registry.
 
-``summarize_patterns`` condenses an :class:`AnalysisResult` into the
-"Detected Pattern" label of Table III, using the same precedence the paper's
-evaluation section exhibits (fusion ≻ multi-loop pipeline ≻ task parallelism
-≻ geometric decomposition ≻ reduction ≻ do-all).
+``primary_pattern`` is Table III's precedence ladder, walked once: it
+condenses an :class:`AnalysisResult` into the "Detected Pattern" label and
+the region(s) the pattern was found in, using the precedence the paper's
+evaluation section exhibits (fusion ≻ multi-loop pipeline ≻ task
+parallelism ≻ geometric decomposition ≻ reduction ≻ do-all).
+``summarize_patterns`` and ``primary_pattern_share`` read its two halves.
 
 The thresholds and :class:`AnalysisResult` itself live in
 :mod:`repro.patterns.framework`.
@@ -22,12 +24,7 @@ from typing import Any, Sequence
 
 from repro.lang.ast_nodes import Program
 from repro.obs.tracing import ensure_tracer
-from repro.patterns.framework import (
-    AnalysisContext,
-    AnalysisResult,
-    DetectorRegistry,
-    run_detectors,
-)
+from repro.patterns.framework import AnalysisContext, AnalysisResult, run_detectors
 from repro.patterns.result import TaskParallelism
 from repro.profiling.cache import ProfileCache, cached_profile_runs
 from repro.profiling.hotspots import DEFAULT_THRESHOLD, hotspot_regions
@@ -36,8 +33,8 @@ from repro.profiling.model import Profile
 __all__ = [
     "analyze",
     "analyze_profile",
+    "primary_pattern",
     "summarize_patterns",
-    "primary_pattern_regions",
     "primary_pattern_share",
 ]
 
@@ -51,15 +48,13 @@ def analyze(
     record_calltree: bool = True,
     max_cost: int = 500_000_000,
     cache: ProfileCache | None = None,
-    registry: DetectorRegistry | None = None,
     engine: str = "compiled",
 ) -> AnalysisResult:
     """Profile ``entry`` with each argument set and run all detectors.
 
     Pass a :class:`repro.profiling.cache.ProfileCache` to skip the
     instrumented run entirely when an identical (source, inputs, config)
-    profile is already on disk, and a :class:`DetectorRegistry` to run a
-    non-default detector pipeline.  *engine* picks the execution engine for
+    profile is already on disk.  *engine* picks the execution engine for
     the instrumented runs (``"compiled"`` closures or the ``"tree"``
     reference walker); the produced profiles are identical either way.
     """
@@ -73,11 +68,7 @@ def analyze(
                 engine=engine,
             )
         return analyze_profile(
-            program,
-            profile,
-            hotspot_threshold=hotspot_threshold,
-            min_pairs=min_pairs,
-            registry=registry,
+            program, profile, hotspot_threshold=hotspot_threshold, min_pairs=min_pairs
         )
 
 
@@ -86,7 +77,6 @@ def analyze_profile(
     profile: Profile,
     hotspot_threshold: float = DEFAULT_THRESHOLD,
     min_pairs: int = 3,
-    registry: DetectorRegistry | None = None,
 ) -> AnalysisResult:
     """Run the detector pipeline over an existing profile."""
     hotspots = hotspot_regions(profile, program, threshold=hotspot_threshold)
@@ -97,20 +87,24 @@ def analyze_profile(
         hotspot_threshold=hotspot_threshold,
         min_pairs=min_pairs,
     )
-    return run_detectors(ctx, registry)
+    return run_detectors(ctx)
 
 
-def summarize_patterns(result: AnalysisResult) -> str:
-    """The Table III "Detected Pattern" label for an analysis result."""
+def primary_pattern(result: AnalysisResult) -> tuple[str, list[int]]:
+    """The Table III "Detected Pattern" label and the region(s) in which
+    that pattern was detected."""
     if result.fusions:
-        return "Fusion"
-    if result.clean_pipelines():
-        return "Multi-loop pipeline"
+        f = result.fusions[0]
+        return "Fusion", [f.loop_x, f.loop_y]
+    clean = result.clean_pipelines()
+    if clean:
+        return "Multi-loop pipeline", [clean[0].loop_x, clean[0].loop_y]
 
     task = result.best_task_parallelism()
     if task is not None:
         workers_doall = _workers_are_doall_loops(result, task)
-        return "Task parallelism + Do-all" if workers_doall else "Task parallelism"
+        label = "Task parallelism + Do-all" if workers_doall else "Task parallelism"
+        return label, [task.region]
 
     if result.geometric:
         gd = result.geometric[0]
@@ -126,46 +120,29 @@ def summarize_patterns(result: AnalysisResult) -> str:
             for region, lc in result.loop_classes.items()
         )
         if has_hot_reduction:
-            return "Geometric decomposition + Reduction"
-        return "Geometric decomposition"
+            return "Geometric decomposition + Reduction", [gd.region]
+        return "Geometric decomposition", [gd.region]
 
     if result.reductions:
-        return "Reduction"
+        loop = max(result.reductions, key=lambda r: result.profile.region_cost(r))
+        return "Reduction", [loop]
 
     hot = result.hotspot_regions
+    top = [result.hotspots[0].region] if result.hotspots else []
     if any(lc.is_doall for region, lc in result.loop_classes.items() if region in hot):
-        return "Do-all"
-    return "None"
+        return "Do-all", top
+    return "None", top
 
 
-def primary_pattern_regions(result: AnalysisResult) -> list[int]:
-    """The region(s) in which the primary pattern was detected."""
-    label = summarize_patterns(result)
-    if label == "Fusion" and result.fusions:
-        f = result.fusions[0]
-        return [f.loop_x, f.loop_y]
-    if label == "Multi-loop pipeline":
-        clean = result.clean_pipelines()
-        if clean:
-            return [clean[0].loop_x, clean[0].loop_y]
-    if label.startswith("Task parallelism"):
-        task = result.best_task_parallelism()
-        if task is not None:
-            return [task.region]
-    if label.startswith("Geometric decomposition") and result.geometric:
-        return [result.geometric[0].region]
-    if label == "Reduction" and result.reductions:
-        loop = max(result.reductions, key=lambda r: result.profile.region_cost(r))
-        return [loop]
-    if result.hotspots:
-        return [result.hotspots[0].region]
-    return []
+def summarize_patterns(result: AnalysisResult) -> str:
+    """The Table III "Detected Pattern" label for an analysis result."""
+    return primary_pattern(result)[0]
 
 
 def primary_pattern_share(result: AnalysisResult) -> float:
     """Fraction of executed instructions inside the primary pattern's
     region(s) — Table III's "Exec Inst % in Hotspot" column."""
-    regions = primary_pattern_regions(result)
+    regions = primary_pattern(result)[1]
     if not regions or result.profile.total_cost <= 0:
         return 0.0
     total = sum(result.profile.region_cost(r) for r in set(regions))

@@ -1,7 +1,7 @@
-"""Pluggable detector pipeline: protocol, registry, context, evidence, trace.
+"""Detector pipeline: protocol, registry, context, evidence, trace.
 
 The paper's workflow (PET hotspots → CU graphs → Section III detectors) is
-expressed here as a pipeline of :class:`Detector` stages resolved from a
+expressed here as a pipeline of :class:`Detector` stages held in a
 :class:`DetectorRegistry`.  Each stage reads shared inputs from an
 :class:`AnalysisContext` (which memoizes artifacts several detectors need —
 loop classifications, CU lists, CU graphs, reduction candidates), writes its
@@ -10,23 +10,23 @@ accepted or rejected as structured :class:`Evidence` carrying the deciding
 threshold.  Per-stage wall-clock and counters land in an
 :class:`AnalysisTrace` attached to the result.
 
-Adding a detector means subclassing :class:`Detector`, declaring its
-``requires`` (stage dependencies are resolved topologically, registration
-order breaking ties), and registering it — no engine changes:
+Stages run in registration order; :meth:`DetectorRegistry.register`
+rejects a stage whose ``requires`` names a stage not registered before
+it.  Any registry runs through :func:`run_detectors`:
 
     registry = default_registry()
     registry.register(MyDetector())
     result = run_detectors(ctx, registry)
 
 The thresholds that decide candidate fate live here so evidence can name
-them; :mod:`repro.patterns.engine` re-exports them for compatibility.
+them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.lang.analysis import is_recursive
 from repro.lang.ast_nodes import Program
@@ -203,14 +203,8 @@ class AnalysisContext:
             self._cus[region] = cached
         return cached
 
-    def cu_graph(self, region: int, include_control: bool = True):
+    def cu_graph(self, region: int):
         """Memoized :func:`repro.cu.graph.build_cu_graph` (control edges on)."""
-        if not include_control:  # non-default variants are not cached
-            from repro.cu.graph import build_cu_graph
-
-            return build_cu_graph(
-                self.cus(region), self.profile, region, include_control=False
-            )
         cached = self._cu_graphs.get(region)
         if cached is None:
             from repro.cu.graph import build_cu_graph
@@ -451,14 +445,13 @@ class Detector:
     """One pipeline stage.  Subclass, set the class attributes, implement
     :meth:`run`.
 
-    ``requires`` names detectors that must run first; the registry resolves
-    the partial order topologically with registration order breaking ties,
-    so independent stages keep a deterministic sequence.
+    ``requires`` names detectors that must run first; they must be
+    registered before this one, since stages run in registration order.
     """
 
     #: unique registry key
     name: str = ""
-    #: human-readable stage group shown in traces (defaults to ``name``)
+    #: stage group shown in traces and metrics (empty means ``name``)
     stage: str = ""
     #: names of detectors that must have run before this one
     requires: tuple[str, ...] = ()
@@ -473,73 +466,29 @@ class Detector:
         """
         raise NotImplementedError
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Detector {self.name} requires={list(self.requires)}>"
-
 
 class DetectorRegistry:
-    """Ordered, dependency-aware collection of detectors."""
+    """Detectors in run order: the order they were registered in."""
 
     def __init__(self) -> None:
         self._detectors: dict[str, Detector] = {}
 
-    def register(self, detector: Detector, replace: bool = False) -> Detector:
+    def register(self, detector: Detector) -> None:
+        """Append *detector*; its name must be new and its ``requires``
+        already registered."""
         if not detector.name:
             raise ValueError("detector must set a non-empty name")
-        if detector.name in self._detectors and not replace:
+        if detector.name in self._detectors:
             raise ValueError(f"detector {detector.name!r} is already registered")
+        missing = [r for r in detector.requires if r not in self._detectors]
+        if missing:
+            raise ValueError(
+                f"detector {detector.name!r} requires unregistered detector(s) {missing}"
+            )
         self._detectors[detector.name] = detector
-        return detector
-
-    def unregister(self, name: str) -> None:
-        del self._detectors[name]
-
-    def get(self, name: str) -> Detector:
-        return self._detectors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._detectors
-
-    def __len__(self) -> int:
-        return len(self._detectors)
 
     def __iter__(self) -> Iterator[Detector]:
         return iter(self._detectors.values())
-
-    def names(self) -> list[str]:
-        return list(self._detectors)
-
-    def ordered(self) -> list[Detector]:
-        """Detectors in dependency order (Kahn), registration order breaking
-        ties; raises on unknown requirements and dependency cycles."""
-        order = list(self._detectors)
-        indegree: dict[str, int] = {}
-        dependents: dict[str, list[str]] = {name: [] for name in order}
-        for name in order:
-            det = self._detectors[name]
-            missing = [r for r in det.requires if r not in self._detectors]
-            if missing:
-                raise ValueError(
-                    f"detector {name!r} requires unregistered detector(s) {missing}"
-                )
-            indegree[name] = len(set(det.requires))
-            for req in set(det.requires):
-                dependents[req].append(name)
-        ready = [name for name in order if indegree[name] == 0]
-        out: list[Detector] = []
-        while ready:
-            name = ready.pop(0)
-            out.append(self._detectors[name])
-            for dep in dependents[name]:
-                indegree[dep] -= 1
-                if indegree[dep] == 0:
-                    # keep registration order among newly-ready stages
-                    ready.append(dep)
-            ready.sort(key=order.index)
-        if len(out) != len(order):
-            cyclic = sorted(set(order) - {d.name for d in out})
-            raise ValueError(f"detector dependency cycle involving {cyclic}")
-        return out
 
 
 def default_registry() -> DetectorRegistry:
@@ -569,7 +518,8 @@ def default_registry() -> DetectorRegistry:
 def run_detectors(
     ctx: AnalysisContext, registry: DetectorRegistry | None = None
 ) -> AnalysisResult:
-    """Run every registered detector over *ctx* and collect the trace.
+    """Run every detector of *registry* (default: :func:`default_registry`)
+    over *ctx*, in registration order, and collect the trace.
 
     Each stage runs inside a span (child of a ``detect`` root span on the
     thread's current tracer, if an outer layer — ``analyze``, the service
@@ -592,7 +542,7 @@ def run_detectors(
     trace = AnalysisTrace()
     with ensure_tracer() as tracer:
         with tracer.span("detect", hotspots=len(ctx.hotspots)):
-            for detector in registry.ordered():
+            for detector in registry:
                 stage = StageTrace(
                     detector=detector.name, stage=detector.stage or detector.name
                 )

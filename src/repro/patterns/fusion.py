@@ -57,7 +57,6 @@ class FusionDetector(Detector):
     pipeline stage's reports."""
 
     name = "fusion"
-    stage = "fusion"
     requires = ("pipelines",)
 
     def run(

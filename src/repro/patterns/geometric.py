@@ -110,7 +110,6 @@ class GeometricDecompositionDetector(Detector):
     """Hotspot-scoped Algorithm 2 over hotspot *functions*."""
 
     name = "geometric"
-    stage = "geometric"
     requires = ("loop-classes",)
 
     def run(

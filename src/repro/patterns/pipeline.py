@@ -127,7 +127,6 @@ class MultiLoopPipelineDetector(Detector):
     evaluated up front so rejections land in the evidence trace."""
 
     name = "pipelines"
-    stage = "pipelines"
     requires = ("loop-classes",)
 
     def run(

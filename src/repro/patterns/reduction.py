@@ -173,7 +173,6 @@ class ReductionDetector(Detector):
     """Hotspot-scoped Algorithm 3: reduction candidates per hotspot loop."""
 
     name = "reductions"
-    stage = "reductions"
 
     def run(self, ctx, result, trace):
         from repro.patterns.framework import Evidence

@@ -320,7 +320,6 @@ class TaskParallelismDetector(Detector):
     :data:`MIN_TASK_GRAIN`) evaluated into the evidence trace."""
 
     name = "tasks"
-    stage = "tasks"
     requires = ("loop-classes",)
 
     def run(

@@ -199,7 +199,6 @@ class WavefrontDetector(Detector):
     dependence order; results stay out of the Table III primary label."""
 
     name = "wavefronts"
-    stage = "wavefronts"
     requires = ("pipelines",)
 
     def run(

@@ -220,7 +220,7 @@ def bench_outcome(
     from repro.bench_programs.workloads import scale_arg_sets
     from repro.lang.parser import parse_program
     from repro.lang.validate import validate_program
-    from repro.patterns.engine import analyze, primary_pattern_share, summarize_patterns
+    from repro.patterns.engine import analyze, primary_pattern_share
     from repro.profiling.serialize import profile_digest
     from repro.sim import plan_and_simulate
     from repro.sim.machine import DEFAULT_MACHINE
@@ -249,7 +249,7 @@ def bench_outcome(
         name=spec.name,
         suite=spec.suite,
         loc=spec.loc,
-        label=summarize_patterns(result),
+        label=sim_outcome.label,
         primary_share=primary_pattern_share(result),
         best_speedup=sim_outcome.best_speedup,
         best_threads=sim_outcome.best_threads,

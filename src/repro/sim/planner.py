@@ -365,6 +365,17 @@ def _sim_doall(result: AnalysisResult, machine: Machine, threads: int) -> list[S
     ]
 
 
+#: The simulator of each pattern, keyed by its label up to any " + " suffix.
+_SIMULATORS = {
+    "Fusion": _sim_fusion,
+    "Multi-loop pipeline": _sim_pipeline,
+    "Task parallelism": _sim_tasks,
+    "Geometric decomposition": _sim_geometric,
+    "Reduction": _sim_reduction,
+    "Do-all": _sim_doall,
+}
+
+
 # ---------------------------------------------------------------------------
 # entry points
 # ---------------------------------------------------------------------------
@@ -394,21 +405,8 @@ def simulate_analysis(
 ) -> float:
     """Overall program speedup at one thread count."""
     label = label or summarize_patterns(result)
-    machine = machine.with_threads(threads)
-    if label == "Fusion":
-        regions = _sim_fusion(result, machine, threads)
-    elif label == "Multi-loop pipeline":
-        regions = _sim_pipeline(result, machine, threads)
-    elif label.startswith("Task parallelism"):
-        regions = _sim_tasks(result, machine, threads)
-    elif label.startswith("Geometric decomposition"):
-        regions = _sim_geometric(result, machine, threads)
-    elif label == "Reduction":
-        regions = _sim_reduction(result, machine, threads)
-    elif label == "Do-all":
-        regions = _sim_doall(result, machine, threads)
-    else:
-        regions = []
+    simulate = _SIMULATORS.get(label.split(" + ")[0])
+    regions = simulate(result, machine.with_threads(threads), threads) if simulate else []
     if not regions:
         return 1.0
     return compose_speedup(float(result.profile.total_cost), regions)

@@ -10,7 +10,7 @@ from repro.bench_programs.registry import analyze_benchmark
 from repro.corpus import generate_programs
 from repro.patterns.engine import (
     analyze,
-    primary_pattern_regions,
+    primary_pattern,
     summarize_patterns,
 )
 from repro.patterns.schema import (
@@ -78,9 +78,7 @@ class TestRoundTrip:
         text = canonical_json(analysis_to_dict(pipeline_result))
         restored = analysis_from_dict(json.loads(text))
         assert summarize_patterns(restored) == summarize_patterns(pipeline_result)
-        assert primary_pattern_regions(restored) == primary_pattern_regions(
-            pipeline_result
-        )
+        assert primary_pattern(restored)[1] == primary_pattern(pipeline_result)[1]
 
     def test_trace_and_evidence_preserved(self, reduction_result):
         restored = analysis_from_dict(analysis_to_dict(reduction_result))

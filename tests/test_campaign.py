@@ -258,20 +258,6 @@ class TestRunner:
         assert summary["submitted"] == 4
         assert calls == [4]
 
-    def test_minimal_client_falls_back_to_per_cell_submission(self, service, store):
-        svc, client = service
-
-        class MinimalClient:
-            # only the documented floor: submit_benchmark + wait
-            def submit_benchmark(self, program, **kwargs):
-                return client.submit_benchmark(program, **kwargs)
-
-            def wait(self, job_id, timeout=120.0, poll=0.1):
-                return client.wait(job_id, timeout=timeout, poll=poll)
-
-        summary = run_campaign(store, MinimalClient(), "minimal", default_grid(programs=SMALL))
-        assert summary["submitted"] == 2 and summary["failed"] == 0
-
     def test_cells_metric_counts_dispositions(self, service, store):
         from repro.obs.metrics import get_registry
 

@@ -1,4 +1,4 @@
-"""Detector framework tests: registry ordering, plug-in detectors,
+"""Detector framework tests: registry order and checks, plug-in detectors,
 context memoization, stage telemetry, and threshold evidence."""
 
 import numpy as np
@@ -14,6 +14,7 @@ from repro.patterns.framework import (
     DetectorRegistry,
     Evidence,
     default_registry,
+    run_detectors,
 )
 from repro.profiling.hotspots import hotspot_regions
 from repro.profiling.runner import profile_runs
@@ -74,40 +75,56 @@ class _Noop(Detector):
 
 class TestRegistry:
     def test_default_order_matches_legacy_engine(self):
-        assert [d.name for d in default_registry().ordered()] == LEGACY_ORDER
-
-    def test_requires_reorders_topologically(self):
-        reg = DetectorRegistry()
-        reg.register(_Noop("late", requires=("early",)))
-        reg.register(_Noop("early"))
-        assert [d.name for d in reg.ordered()] == ["early", "late"]
+        assert [d.name for d in default_registry()] == LEGACY_ORDER
 
     def test_registration_order_breaks_ties(self):
         reg = DetectorRegistry()
         reg.register(_Noop("b"))
         reg.register(_Noop("a"))
-        assert [d.name for d in reg.ordered()] == ["b", "a"]
+        assert [d.name for d in reg] == ["b", "a"]
 
-    def test_duplicate_name_rejected_unless_replace(self):
+    def test_duplicate_name_rejected(self):
         reg = DetectorRegistry()
         reg.register(_Noop("x"))
         with pytest.raises(ValueError, match="already registered"):
             reg.register(_Noop("x"))
-        reg.register(_Noop("x"), replace=True)
-        assert len(reg) == 1
+        assert [d.name for d in reg] == ["x"]
+
+    def test_empty_name_rejected(self):
+        with pytest.raises(ValueError, match="non-empty name"):
+            DetectorRegistry().register(_Noop(""))
 
     def test_unknown_requirement_raises(self):
         reg = DetectorRegistry()
-        reg.register(_Noop("orphan", requires=("missing",)))
         with pytest.raises(ValueError, match="unregistered"):
-            reg.ordered()
+            reg.register(_Noop("orphan", requires=("missing",)))
+        assert list(reg) == []
+
+    def test_requirement_registered_later_raises(self):
+        reg = DetectorRegistry()
+        with pytest.raises(ValueError, match=r"'late' requires unregistered .*'early'"):
+            reg.register(_Noop("late", requires=("early",)))
+        reg.register(_Noop("early"))
+        reg.register(_Noop("late", requires=("early",)))
+        assert [d.name for d in reg] == ["early", "late"]
 
     def test_dependency_cycle_raises(self):
+        # a cycle cannot be registered: its first stage's requirement is
+        # never registered before it
         reg = DetectorRegistry()
-        reg.register(_Noop("a", requires=("b",)))
-        reg.register(_Noop("b", requires=("a",)))
-        with pytest.raises(ValueError, match="cycle"):
-            reg.ordered()
+        with pytest.raises(ValueError, match="unregistered"):
+            reg.register(_Noop("a", requires=("a",)))
+        reg.register(_Noop("b"))
+        with pytest.raises(ValueError, match="unregistered"):
+            reg.register(_Noop("a", requires=("b", "a")))
+        assert [d.name for d in reg] == ["b"]
+
+
+def _context(src, entry, args):
+    program = parsed(src)
+    profile = profile_runs(program, entry, [args])
+    hotspots = hotspot_regions(profile, program)
+    return AnalysisContext(program=program, profile=profile, hotspots=hotspots)
 
 
 class TestPluggability:
@@ -133,9 +150,12 @@ class TestPluggability:
 
         registry = default_registry()
         registry.register(Spy())
-        result = analyzed(REDUCTION_SRC, "total", [np.ones(16), 16],
-                          registry=registry)
-        # the spy observed loop-classes output and left its own trail
+        result = run_detectors(
+            _context(REDUCTION_SRC, "total", [np.ones(16), 16]), registry
+        )
+        # the spy ran last, observed loop-classes output and left its own trail
+        assert [st.detector for st in result.trace.stages] == LEGACY_ORDER + ["spy"]
+        assert result.trace.stage("spy").stage == "spy"
         assert seen["loop_classes"] == result.loop_classes
         assert result.trace.stage("spy").counters == {"ran": 1}
         assert [ev.reason for ev in result.trace.for_detector("spy")] == ["spy-ran"]
@@ -143,10 +163,13 @@ class TestPluggability:
         assert summarize_patterns(result) == "Reduction"
 
     def test_dropping_a_stage_skips_its_output(self):
-        registry = default_registry()
-        registry.unregister("reductions")
-        result = analyzed(REDUCTION_SRC, "total", [np.ones(16), 16],
-                          registry=registry)
+        registry = DetectorRegistry()
+        for detector in default_registry():
+            if detector.name != "reductions":
+                registry.register(detector)
+        result = run_detectors(
+            _context(REDUCTION_SRC, "total", [np.ones(16), 16]), registry
+        )
         assert result.reductions == {}
         assert result.trace.stage("reductions") is None
 
@@ -165,14 +188,8 @@ class TestTrace:
 
 
 class TestContextMemoization:
-    def _context(self, src, entry, args):
-        program = parsed(src)
-        profile = profile_runs(program, entry, [args])
-        hotspots = hotspot_regions(profile, program)
-        return AnalysisContext(program=program, profile=profile, hotspots=hotspots)
-
     def test_loop_class_and_graph_identity(self):
-        ctx = self._context(REDUCTION_SRC, "total", [np.ones(16), 16])
+        ctx = _context(REDUCTION_SRC, "total", [np.ones(16), 16])
         region = next(iter(ctx.profile.loop_trips))
         assert ctx.loop_class(region) is ctx.loop_class(region)
         assert ctx.reductions(region) is ctx.reductions(region)

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.patterns.engine import (
     analyze,
-    primary_pattern_regions,
+    primary_pattern,
     primary_pattern_share,
     summarize_patterns,
 )
@@ -144,7 +144,7 @@ float f(float A[], int n) {
             "f",
             [np.ones(32), 32],
         )
-        regions = primary_pattern_regions(result)
+        regions = primary_pattern(result)[1]
         assert regions
         share = primary_pattern_share(result)
         assert 0.5 < share <= 1.0

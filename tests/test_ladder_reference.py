@@ -1,0 +1,57 @@
+"""The one-walk precedence ladder against the two-walk reference.
+
+:func:`repro.patterns.engine.primary_pattern` walks Table III's ladder
+once and returns the label with the regions the winning rung found.
+:mod:`reference_ladder` keeps the two walks it replaced: one for the
+label, one for the regions.  Every result must get the same label,
+regions and "Exec Inst % in Hotspot" share from both.
+
+Inputs: the 17 registry programs, an adversarial corpus draw, and the
+results ``test_summary_precedence.py`` grafts onto each rung (through
+:func:`assert_matches_reference`).
+"""
+
+import pytest
+
+import reference_ladder as ref
+
+from repro.bench_programs.registry import all_benchmarks, analyze_benchmark
+from repro.corpus import generate_programs
+from repro.lang.parser import parse_program
+from repro.lang.validate import validate_program
+from repro.patterns.engine import (
+    analyze,
+    primary_pattern,
+    primary_pattern_share,
+    summarize_patterns,
+)
+from repro.service.jobs import build_call_args
+
+_CORPUS = generate_programs(count=200, seed=7, adversarial=True)
+
+
+def assert_matches_reference(result):
+    label, regions = primary_pattern(result)
+    assert (label, regions) == (
+        ref.summarize_patterns(result),
+        ref.primary_pattern_regions(result),
+    )
+    assert summarize_patterns(result) == label
+    assert primary_pattern_share(result) == ref.primary_pattern_share(result)
+
+
+@pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
+def test_registry_program(spec):
+    assert_matches_reference(analyze_benchmark(spec.name))
+
+
+@pytest.mark.parametrize(
+    "idx", range(len(_CORPUS)), ids=lambda idx: f"{idx}-{_CORPUS[idx].template}"
+)
+def test_corpus_program(idx):
+    tp = _CORPUS[idx]
+    program = parse_program(tp.source)
+    validate_program(program)
+    assert_matches_reference(
+        analyze(program, tp.entry, [build_call_args(tp.arg_specs, seed=0)])
+    )

@@ -146,3 +146,10 @@ class TestMisc:
 
     def test_source_loc_inline_block_comment(self):
         assert source_loc("/* x */ int g;\n") == 1
+
+    def test_source_loc_block_comment_after_code(self):
+        # the comment opens after code and spans lines that hold no token
+        assert source_loc("int x; /* a\nb\n*/\nint y;\n") == 2
+
+    def test_source_loc_two_block_comments_on_a_line(self):
+        assert source_loc("/* a */ /* b */\nint x;\n") == 1

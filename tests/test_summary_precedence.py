@@ -4,7 +4,9 @@
 parallelism (+ do-all) ≻ geometric decomposition (+ reduction) ≻ reduction
 ≻ do-all ≻ none.  Each test takes a really-analyzed result and overrides
 exactly the fields that should (or should not) win, so a precedence
-regression cannot hide behind detector behavior changes.
+regression cannot hide behind detector behavior changes.  Each label is
+read through :func:`label_of`, which first holds the result's label,
+regions and share to the two-walk reference ladder.
 """
 
 import dataclasses
@@ -22,6 +24,7 @@ from repro.patterns.result import (
 )
 
 from conftest import parsed
+from test_ladder_reference import assert_matches_reference
 
 REDUCTION_SRC = """\
 float total(float A[], int n) {
@@ -39,6 +42,11 @@ void f(float A[], float B[], int n) {
     for (int j = 0; j < n; j++) { B[j] = j * 2.0 + sqrt(j + 3.0); }
 }
 """
+
+
+def label_of(result):
+    assert_matches_reference(result)
+    return summarize_patterns(result)
 
 
 def analyzed(src, entry, args):
@@ -76,7 +84,7 @@ class TestPrecedenceLadder:
         )
         # reductions AND a clean pipeline are present — fusion still wins
         assert result.reductions and result.clean_pipelines()
-        assert summarize_patterns(result) == "Fusion"
+        assert label_of(result) == "Fusion"
 
     def test_clean_pipeline_beats_reduction(self):
         result = base_result()
@@ -85,7 +93,7 @@ class TestPrecedenceLadder:
             result, pipelines=[synthetic_pipeline(loop, loop + 1)]
         )
         assert result.reductions
-        assert summarize_patterns(result) == "Multi-loop pipeline"
+        assert label_of(result) == "Multi-loop pipeline"
 
     def test_unclean_pipeline_falls_through(self):
         result = base_result()
@@ -94,13 +102,13 @@ class TestPrecedenceLadder:
                                  efficiency=MIN_PIPELINE_EFFICIENCY / 2)
         result = dataclasses.replace(result, pipelines=[low])
         assert not result.clean_pipelines()
-        assert summarize_patterns(result) == "Reduction"
+        assert label_of(result) == "Reduction"
 
     def test_task_parallelism_plus_doall(self):
         result = analyzed(
             INDEPENDENT_LOOPS_SRC, "f", [np.zeros(32), np.zeros(32), 32]
         )
-        assert summarize_patterns(result) == "Task parallelism + Do-all"
+        assert label_of(result) == "Task parallelism + Do-all"
 
     def test_task_parallelism_without_doall_workers(self):
         result = analyzed(
@@ -114,7 +122,7 @@ class TestPrecedenceLadder:
             for region in result.loop_classes
         }
         result = dataclasses.replace(result, loop_classes=demoted)
-        assert summarize_patterns(result) == "Task parallelism"
+        assert label_of(result) == "Task parallelism"
 
     def test_geometric_plus_reduction(self):
         result = base_result()
@@ -128,7 +136,7 @@ class TestPrecedenceLadder:
         result = dataclasses.replace(result, geometric=[gd])
         # the base program's hot loop is a reduction in the GD function
         assert result.loop_classes[loop].is_reduction
-        assert summarize_patterns(result) == "Geometric decomposition + Reduction"
+        assert label_of(result) == "Geometric decomposition + Reduction"
 
     def test_geometric_plain_when_loops_doall(self):
         result = base_result()
@@ -142,10 +150,10 @@ class TestPrecedenceLadder:
         result = dataclasses.replace(
             result, geometric=[gd], loop_classes={loop: doall}
         )
-        assert summarize_patterns(result) == "Geometric decomposition"
+        assert label_of(result) == "Geometric decomposition"
 
     def test_reduction_rung(self):
-        assert summarize_patterns(base_result()) == "Reduction"
+        assert label_of(base_result()) == "Reduction"
 
     def test_doall_rung(self):
         result = base_result()
@@ -158,7 +166,7 @@ class TestPrecedenceLadder:
                                 classification=LoopClassification.DOALL)
             },
         )
-        assert summarize_patterns(result) == "Do-all"
+        assert label_of(result) == "Do-all"
 
     def test_none_rung(self):
         result = base_result()
@@ -171,7 +179,7 @@ class TestPrecedenceLadder:
                                 classification=LoopClassification.SEQUENTIAL)
             },
         )
-        assert summarize_patterns(result) == "None"
+        assert label_of(result) == "None"
 
 
 class TestRejectionsVisible:
@@ -187,7 +195,7 @@ void f(float A[], float B[], int n) {
             [np.zeros(32), np.zeros(32), 32],
         )
         # the label falls through AND the trace says exactly why
-        assert summarize_patterns(result) != "Multi-loop pipeline"
+        assert label_of(result) != "Multi-loop pipeline"
         assert any(
             ev.reason == "efficiency-below-threshold"
             and ev.threshold == "MIN_PIPELINE_EFFICIENCY"
