@@ -29,7 +29,6 @@ def _with_overhead_scale(scale: float):
         barrier_base=DEFAULT_MACHINE.barrier_base * scale,
         barrier_per_thread=DEFAULT_MACHINE.barrier_per_thread * scale,
         pipeline_sync=DEFAULT_MACHINE.pipeline_sync * scale,
-        chunk_cost=DEFAULT_MACHINE.chunk_cost * scale,
     )
 
 

@@ -10,8 +10,6 @@ peak-thread ordering preserved.
 import pytest
 
 from repro.bench_programs import all_benchmarks, analyze_benchmark
-from repro.patterns import summarize_patterns
-from repro.patterns.engine import primary_pattern_share
 from repro.reporting.tables import format_table
 from repro.sim import plan_and_simulate
 
@@ -20,11 +18,7 @@ SPECS = {spec.name: spec for spec in all_benchmarks()}
 
 @pytest.fixture(scope="module")
 def results():
-    out = {}
-    for name, spec in SPECS.items():
-        result = analyze_benchmark(name)
-        out[name] = (result, summarize_patterns(result), plan_and_simulate(result))
-    return out
+    return {name: plan_and_simulate(analyze_benchmark(name)) for name in SPECS}
 
 
 def test_table3(benchmark, save_artifact, results):
@@ -32,16 +26,16 @@ def test_table3(benchmark, save_artifact, results):
     benchmark(lambda: plan_and_simulate(analyze_benchmark("mvt")))
     rows = []
     for name, spec in SPECS.items():
-        result, label, outcome = results[name]
+        outcome = results[name]
         rows.append(
             [
                 name,
                 spec.suite,
                 spec.loc,
-                100 * primary_pattern_share(result),
+                100 * outcome.share,
                 outcome.best_speedup,
                 outcome.best_threads,
-                label,
+                outcome.label,
                 f"{spec.paper.speedup}x@{spec.paper.threads}",
             ]
         )
@@ -66,13 +60,12 @@ def test_table3(benchmark, save_artifact, results):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_detected_pattern_matches(name, results):
-    _, label, _ = results[name]
-    assert label == SPECS[name].expected_label
+    assert results[name].label == SPECS[name].expected_label
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_speedup_band(name, results):
-    _, _, outcome = results[name]
+    outcome = results[name]
     paper = SPECS[name].paper.speedup
     assert outcome.best_speedup >= max(1.15, paper / 3), (
         f"{name}: simulated {outcome.best_speedup:.2f} below band of paper {paper}"
@@ -86,30 +79,30 @@ class TestPeakThreadOrdering:
     """The qualitative saturation structure of Table III."""
 
     def test_fluidanimate_saturates_early(self, results):
-        _, _, outcome = results["fluidanimate"]
+        outcome = results["fluidanimate"]
         assert outcome.best_threads <= 4
 
     def test_fine_grained_kernels_peak_below_max(self, results):
         for name in ("gesummv", "kmeans"):
-            _, _, outcome = results[name]
+            outcome = results[name]
             assert outcome.best_threads <= 16, name
 
     def test_bicg_declines_past_its_peak(self, results):
-        _, _, outcome = results["bicg"]
+        outcome = results["bicg"]
         sweep = dict(outcome.sweep.as_rows())
         assert sweep[32] < outcome.best_speedup
 
     def test_scalable_kernels_reach_high_thread_counts(self, results):
         for name in ("fib", "2mm", "correlation", "mvt", "3mm", "nqueens"):
-            _, _, outcome = results[name]
+            outcome = results[name]
             assert outcome.best_threads >= 16, name
 
     def test_pipelines_stay_modest(self, results):
         for name in ("reg_detect", "fluidanimate"):
-            _, _, outcome = results[name]
+            outcome = results[name]
             assert outcome.best_speedup < 4.0, name
 
     def test_big_kernels_beat_small_ones(self, results):
-        big = min(results[n][2].best_speedup for n in ("2mm", "rot-cc", "correlation"))
-        small = max(results[n][2].best_speedup for n in ("reg_detect", "fluidanimate"))
+        big = min(results[n].best_speedup for n in ("2mm", "rot-cc", "correlation"))
+        small = max(results[n].best_speedup for n in ("reg_detect", "fluidanimate"))
         assert big > 2 * small

@@ -12,7 +12,9 @@ condenses an :class:`AnalysisResult` into the "Detected Pattern" label and
 the region(s) the pattern was found in, using the precedence the paper's
 evaluation section exhibits (fusion ≻ multi-loop pipeline ≻ task
 parallelism ≻ geometric decomposition ≻ reduction ≻ do-all).
-``summarize_patterns`` and ``primary_pattern_share`` read its two halves.
+``summarize_patterns`` reads its label; ``region_share`` turns its regions
+into the "Exec Inst % in Hotspot" column, which
+:func:`repro.sim.planner.plan_and_simulate` reports from the same walk.
 
 The thresholds and :class:`AnalysisResult` itself live in
 :mod:`repro.patterns.framework`.
@@ -35,7 +37,7 @@ __all__ = [
     "analyze_profile",
     "primary_pattern",
     "summarize_patterns",
-    "primary_pattern_share",
+    "region_share",
 ]
 
 
@@ -139,14 +141,13 @@ def summarize_patterns(result: AnalysisResult) -> str:
     return primary_pattern(result)[0]
 
 
-def primary_pattern_share(result: AnalysisResult) -> float:
-    """Fraction of executed instructions inside the primary pattern's
-    region(s) — Table III's "Exec Inst % in Hotspot" column."""
-    regions = primary_pattern(result)[1]
-    if not regions or result.profile.total_cost <= 0:
+def region_share(profile: Profile, regions: Sequence[int]) -> float:
+    """Fraction of executed instructions inside *regions*; for the primary
+    pattern's regions, Table III's "Exec Inst % in Hotspot" column."""
+    if not regions or profile.total_cost <= 0:
         return 0.0
-    total = sum(result.profile.region_cost(r) for r in set(regions))
-    return min(1.0, total / result.profile.total_cost)
+    total = sum(profile.region_cost(r) for r in set(regions))
+    return min(1.0, total / profile.total_cost)
 
 
 def _workers_are_doall_loops(result: AnalysisResult, task: TaskParallelism) -> bool:

@@ -163,18 +163,14 @@ def rank_patterns(
     thread_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
 ) -> list[PatternOption]:
     """All applicable patterns, ranked by benefit per unit of effort."""
-    from repro.sim.planner import simulate_analysis
-    from repro.sim.sweep import sweep_threads
+    from repro.sim.planner import sweep_pattern
 
     options: list[PatternOption] = []
     intra = _intra_pipeline_option(result, thread_counts)
     if intra is not None:
         options.append(intra)
     for label in _applicable_labels(result):
-        sweep = sweep_threads(
-            lambda p, lbl=label: simulate_analysis(result, p, label=lbl),
-            thread_counts,
-        )
+        sweep = sweep_pattern(result, label, thread_counts)
         touched = _lines_touched(result, label)
         effort = BASE_EFFORT.get(label, 3.0) + touched / 50.0
         options.append(

@@ -212,7 +212,3 @@ class GeometricDecomposition:
     analyzed_loops: dict[int, LoopClass]
     #: directly-called functions whose loops were also examined
     called_functions: list[str] = field(default_factory=list)
-
-    @property
-    def has_reduction_loops(self) -> bool:
-        return any(lc.is_reduction for lc in self.analyzed_loops.values())

@@ -27,20 +27,18 @@ def _evidence_line(result: AnalysisResult, ev: Evidence) -> str:
     where = " -> ".join(_region_name(result, r) for r in ev.regions)
     text = f"  {ev.status} {ev.kind} [{where}]: {ev.reason}"
     if ev.threshold is not None and ev.observed is not None:
-        op = ">=" if ev.accepted else "<"
-        text += f" ({ev.observed:.3g} {op} {ev.threshold}={ev.threshold_value:g})"
+        observed, limit = ev.observed, ev.threshold_value
+        op = "<" if observed < limit else ">" if observed > limit else "=="
+        text += f" ({observed:.3g} {op} {ev.threshold}={limit:g})"
     if ev.detail:
         text += f" — {ev.detail}"
     return text
 
 
-def trace_report(result: AnalysisResult, rejected_only: bool = True) -> str:
-    """Render the detection trace: per-stage telemetry and evidence.
-
-    ``rejected_only`` keeps the evidence listing to the candidates the
-    thresholds killed (the part a user cannot reconstruct from the main
-    report); pass ``False`` for the full accepted+rejected stream.
-    """
+def trace_report(result: AnalysisResult) -> str:
+    """Render the detection trace: per-stage telemetry and the candidates
+    the thresholds rejected (the part a user cannot reconstruct from the
+    main report), each with the observed value and its threshold."""
     trace = result.trace
     if trace is None:
         return ""
@@ -56,12 +54,10 @@ def trace_report(result: AnalysisResult, rejected_only: bool = True) -> str:
             title="Detection trace",
         )
     )
-    evidence = trace.rejected() if rejected_only else trace.evidence
-    if evidence:
-        parts.append("Candidate evidence:" if not rejected_only
-                     else "Rejected candidates:")
-        for ev in evidence:
-            parts.append(_evidence_line(result, ev))
+    rejected = trace.rejected()
+    if rejected:
+        parts.append("Rejected candidates:")
+        parts.extend(_evidence_line(result, ev) for ev in rejected)
     return "\n".join(parts)
 
 

@@ -220,7 +220,7 @@ def bench_outcome(
     from repro.bench_programs.workloads import scale_arg_sets
     from repro.lang.parser import parse_program
     from repro.lang.validate import validate_program
-    from repro.patterns.engine import analyze, primary_pattern_share
+    from repro.patterns.engine import analyze
     from repro.profiling.serialize import profile_digest
     from repro.sim import plan_and_simulate
     from repro.sim.machine import DEFAULT_MACHINE
@@ -250,7 +250,7 @@ def bench_outcome(
         suite=spec.suite,
         loc=spec.loc,
         label=sim_outcome.label,
-        primary_share=primary_pattern_share(result),
+        primary_share=sim_outcome.share,
         best_speedup=sim_outcome.best_speedup,
         best_threads=sim_outcome.best_threads,
         pipelines=tuple(

@@ -79,6 +79,12 @@ MAX_TRACKED_CLIENTS = 64
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 
+def _reject_constant(name: str) -> float:
+    """``json.loads`` hook: ``NaN``, ``Infinity`` and ``-Infinity`` are not
+    JSON, and no field of a submission can take them."""
+    raise ValueError(f"request body holds {name}, which is not a JSON number")
+
+
 class AnalysisService:
     """The daemon: one job store, one worker pool, one HTTP server.
 
@@ -269,11 +275,13 @@ class AnalysisService:
                         f"expected a subset of {sorted(known_fields)}"
                     )
                 for field, value in machine.items():
+                    # bandwidth divides by min(threads, bw_saturation)
+                    floor = 1 if field == "bw_saturation" else 0
                     if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                            or value < 0:
+                            or value < floor:
                         raise ValueError(
-                            f"machine field {field!r} must be a non-negative "
-                            f"number, got {value!r}"
+                            f"machine field {field!r} must be a number >= "
+                            f"{floor}, got {value!r}"
                         )
         elif kind == "sweep":
             # An unknown name must be a 400 here, not a failed job a poller
@@ -504,7 +512,9 @@ class _Handler(BaseHTTPRequestHandler):
                     headers={"Connection": "close"},
                 )
                 return
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(
+                self.rfile.read(length) or b"{}", parse_constant=_reject_constant
+            )
             if isinstance(body, list):
                 self._post_batch(body)
                 return

@@ -17,23 +17,20 @@ measured (DESIGN.md §2):
 * geometric decomposition — chunk (function invocation) scheduling.
 
 Overall program speedups compose the simulated region times with the
-unparallelized remainder (Amdahl), and :func:`sweep_threads` reproduces the
-paper's 1–32 thread sweeps.
+unparallelized remainder (Amdahl).  :func:`sweep_pattern` reproduces the
+paper's 1–32 thread sweeps: it plans a pattern once and replays the
+schedule at each thread count.
 """
 
 from repro.sim.machine import Machine
 from repro.sim.result import SimOutcome
 from repro.sim.doall import simulate_doall, simulate_reduction
 from repro.sim.tasks import simulate_recursive_tasks, simulate_task_graph
-from repro.sim.pipeline import (
-    simulate_pipeline,
-    simulate_pipeline_chain,
-    simulate_pipeline_invocations,
-)
+from repro.sim.pipeline import simulate_pipeline_chain, simulate_pipeline_invocations
 from repro.sim.geometric import simulate_geometric
 from repro.sim.amdahl import compose_speedup
 from repro.sim.sweep import ThreadSweep, sweep_threads
-from repro.sim.planner import plan_and_simulate, simulate_analysis
+from repro.sim.planner import plan_and_simulate, sweep_pattern
 
 __all__ = [
     "Machine",
@@ -42,7 +39,6 @@ __all__ = [
     "simulate_reduction",
     "simulate_task_graph",
     "simulate_recursive_tasks",
-    "simulate_pipeline",
     "simulate_pipeline_chain",
     "simulate_pipeline_invocations",
     "simulate_geometric",
@@ -50,5 +46,5 @@ __all__ = [
     "ThreadSweep",
     "sweep_threads",
     "plan_and_simulate",
-    "simulate_analysis",
+    "sweep_pattern",
 ]

@@ -60,12 +60,7 @@ def simulate_doall(
     if p == 1:
         return SimOutcome(threads=1, serial_time=serial, parallel_time=serial)
     parallel = sum(_invocation_time(inv, machine, p, streaming) for inv in invocations)
-    return SimOutcome(
-        threads=p,
-        serial_time=serial,
-        parallel_time=float(parallel),
-        detail=f"do-all: {len(invocations)} invocation(s)",
-    )
+    return SimOutcome(threads=p, serial_time=serial, parallel_time=float(parallel))
 
 
 def simulate_reduction(
@@ -91,6 +86,4 @@ def simulate_reduction(
         threads=p,
         serial_time=base.serial_time,
         parallel_time=base.parallel_time + combine,
-        detail=f"reduction: {len(invocations)} invocation(s), "
-        f"{n_reduction_vars} var(s)",
     )

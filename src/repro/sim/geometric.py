@@ -37,8 +37,5 @@ def simulate_geometric(
     makespan = max(heap) + machine.barrier_cost(p)
     contended = machine.parallel_time(serial, p, streaming)
     return SimOutcome(
-        threads=p,
-        serial_time=serial,
-        parallel_time=float(max(makespan, contended)),
-        detail=f"geometric: {len(chunk_costs)} chunks",
+        threads=p, serial_time=serial, parallel_time=float(max(makespan, contended))
     )

@@ -23,8 +23,6 @@ class Machine:
     barrier_base: float = 50.0
     #: additional barrier cost per participating thread
     barrier_per_thread: float = 12.0
-    #: per-chunk cost under dynamic scheduling
-    chunk_cost: float = 12.0
     #: per-level cost of a tree reduction combine
     reduction_combine: float = 30.0
     #: synchronization cost per cross-stage handoff in a pipeline

@@ -1,17 +1,19 @@
 """Multi-loop pipeline schedule simulation.
 
-The fitted dependence ``Y = aX + b`` (iteration *j* of loop y needs loop x
-up to iteration ``(j - b)/a``) is replayed over the measured per-iteration
-costs:
+Each fitted dependence ``Y = aX + b`` between consecutive stages
+(iteration *j* of a stage needs the previous stage up to iteration
+``(j - b)/a``) is replayed over the measured per-iteration costs:
 
-* stage x runs on ``P - 1`` threads when it is do-all (cyclically
-  scheduled so early iterations finish early — what a pipelined producer
-  wants), or on one thread otherwise;
-* stage y is the consumer; iteration *j* starts when its own previous
-  iteration is done (y is sequential — otherwise fusion would have fired)
-  *and* stage x has retired iteration ``x_req(j)``, plus a handoff cost.
+* stage 0 runs on the threads left after one per downstream stage when it
+  is do-all (cyclically scheduled so early iterations finish early — what
+  a pipelined producer wants), or on one thread otherwise;
+* every later stage consumes sequentially (a do-all consumer would have
+  been fused instead): iteration *j* starts when its own previous
+  iteration is done *and* the previous stage has retired the iteration
+  it needs, plus a handoff cost.
 
-The simulated region time is when both stages have drained.
+The simulated region time is when every stage has drained.  A two-stage
+pipeline is the chain of two stages and one fit.
 """
 
 from __future__ import annotations
@@ -35,54 +37,6 @@ def _producer_finish_times(
         clocks[t] += c
         finish.append(clocks[t])
     return finish
-
-
-def simulate_pipeline(
-    costs_x: Sequence[float],
-    costs_y: Sequence[float],
-    a: float,
-    b: float,
-    machine: Machine,
-    threads: int | None = None,
-    stage_x_parallel: bool = True,
-    streaming: float = 0.0,
-) -> SimOutcome:
-    """Simulate one co-invocation of a two-stage multi-loop pipeline."""
-    p = machine.threads if threads is None else threads
-    if p < 1:
-        raise SimulationError("thread count must be >= 1")
-    serial = float(sum(costs_x) + sum(costs_y))
-    if p == 1 or not costs_x or not costs_y:
-        return SimOutcome(threads=p, serial_time=serial, parallel_time=serial)
-
-    p_x = max(1, p - 1) if stage_x_parallel else 1
-    finish_x = _producer_finish_times(costs_x, p_x, machine)
-    n_x = len(costs_x)
-
-    def x_req(j: int) -> int | None:
-        """Last x iteration that y's iteration j must wait for."""
-        if a == 0.0:
-            # all of y depends on the single dependence frontier at b
-            return n_x - 1
-        need = (j - b) / a
-        if need < 0:
-            return None
-        return min(int(math.ceil(need)), n_x - 1)
-
-    clock = machine.spawn_cost
-    for j, c in enumerate(costs_y):
-        req = x_req(j)
-        ready = 0.0 if req is None else finish_x[req] + machine.pipeline_sync
-        clock = max(clock, ready) + c
-    t_par = max(clock, finish_x[-1]) + machine.barrier_cost(p)
-    # the memory roofline binds the whole pipeline region too
-    t_par = max(t_par, machine.parallel_time(serial, p, streaming))
-    return SimOutcome(
-        threads=p,
-        serial_time=serial,
-        parallel_time=float(t_par),
-        detail=f"pipeline: a={a:.3g}, b={b:.3g}, Px={p_x}",
-    )
 
 
 def simulate_pipeline_chain(
@@ -129,10 +83,15 @@ def simulate_pipeline_chain(
         new_finish: list[float] = []
         for j, c in enumerate(costs):
             if a == 0.0:
+                # the whole stage depends on the single frontier at b
                 req: int | None = n_prev - 1
             else:
                 need = (j - b) / a
-                req = None if need < 0 else min(int(math.ceil(need)), n_prev - 1)
+                if need < 0:
+                    req = None
+                else:
+                    # clamp before rounding: a subnormal slope makes need inf
+                    req = n_prev - 1 if need >= n_prev - 1 else math.ceil(need)
             ready = 0.0 if req is None else finish[req] + machine.pipeline_sync
             clock = max(clock, ready) + c
             new_finish.append(clock)
@@ -140,13 +99,9 @@ def simulate_pipeline_chain(
         drain = max(drain, finish[-1])
 
     t_par = drain + machine.barrier_cost(p)
+    # the memory roofline binds the whole pipeline region too
     t_par = max(t_par, machine.parallel_time(serial, p, streaming))
-    return SimOutcome(
-        threads=p,
-        serial_time=serial,
-        parallel_time=float(t_par),
-        detail=f"pipeline chain: {len(stage_costs)} stages",
-    )
+    return SimOutcome(threads=p, serial_time=serial, parallel_time=float(t_par))
 
 
 def simulate_pipeline_invocations(
@@ -163,14 +118,12 @@ def simulate_pipeline_invocations(
     p = machine.threads if threads is None else threads
     total = SimOutcome(threads=p, serial_time=0.0, parallel_time=0.0)
     for cx, cy in invocations:
-        total = total + simulate_pipeline(
-            cx,
-            cy,
-            a,
-            b,
+        total = total + simulate_pipeline_chain(
+            [cx, cy],
+            [(a, b)],
             machine,
             threads=p,
-            stage_x_parallel=stage_x_parallel,
+            stage0_parallel=stage_x_parallel,
             streaming=streaming,
         )
     return total

@@ -1,18 +1,22 @@
 """Planner: turn an AnalysisResult into simulated program speedups.
 
-This is the bridge Table III's harness uses: given the detected pattern of a
-program, extract the measured cost structure from the profile (per-iteration
-loop costs, activation costs, work/span) and simulate the pattern's schedule
-at each thread count, composing with the serial remainder.
+This is the bridge Table III's harness uses.  Each pattern has a *plan*
+that reads the analysis and its profile once: the detection gate, the
+measured per-iteration loop costs, the activation costs, work and span.
+It returns the pattern's region *schedule*, a function of the machine at
+one thread count.  :func:`sweep_pattern` plans once and replays the
+schedule at every thread count, composing each result with the serial
+remainder (Amdahl); :func:`plan_and_simulate` does so for the primary
+pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.cu.model import CU
-from repro.patterns.engine import summarize_patterns
+from repro.patterns.engine import primary_pattern, region_share
 from repro.patterns.framework import AnalysisResult
 from repro.patterns.result import MultiLoopPipeline, TaskParallelism
 from repro.profiling.model import Profile
@@ -84,13 +88,17 @@ def _max_depth(profile: Profile, region: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-pattern region simulation
+# per-pattern plans
 # ---------------------------------------------------------------------------
 
+#: A pattern's region schedule: the simulated regions on a machine whose
+#: ``threads`` is the thread count.
+Schedule = Callable[[Machine], list[SimOutcome]]
 
-def _sim_fusion(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
+
+def _plan_fusion(result: AnalysisResult) -> Schedule:
     sf = result.profile.streaming_fraction
-    outcomes = []
+    fused: list[list[list[float]]] = []
     for fusion in result.fusions:
         xs = loop_invocation_costs(result.profile, fusion.loop_x)
         ys = loop_invocation_costs(result.profile, fusion.loop_y)
@@ -101,8 +109,8 @@ def _sim_fusion(result: AnalysisResult, machine: Machine, threads: int) -> list[
             inv.extend(cx[n:])
             inv.extend(cy[n:])
             combined.append(inv)
-        outcomes.append(simulate_doall(combined, machine, threads=threads, streaming=sf))
-    return outcomes
+        fused.append(combined)
+    return lambda m: [simulate_doall(invs, m, streaming=sf) for invs in fused]
 
 
 def _best_pipeline(result: AnalysisResult) -> MultiLoopPipeline:
@@ -117,19 +125,14 @@ def _best_pipeline(result: AnalysisResult) -> MultiLoopPipeline:
     )
 
 
-def _sim_pipeline(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
+def _plan_pipeline(result: AnalysisResult) -> Schedule:
     p = _best_pipeline(result)
     invocations = pipeline_co_invocations(result.profile, p.loop_x, p.loop_y)
     stage_x_parallel = p.stage_x is not None and p.stage_x.parallelizable
-    return [
+    sf = result.profile.streaming_fraction
+    return lambda m: [
         simulate_pipeline_invocations(
-            invocations,
-            p.a,
-            p.b,
-            machine,
-            threads=threads,
-            stage_x_parallel=stage_x_parallel,
-            streaming=result.profile.streaming_fraction,
+            invocations, p.a, p.b, m, stage_x_parallel=stage_x_parallel, streaming=sf
         )
     ]
 
@@ -171,7 +174,7 @@ def _worker_barrier_loops(
     return workers, barriers
 
 
-def _sim_tasks(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
+def _plan_tasks(result: AnalysisResult) -> Schedule:
     tp = result.best_task_parallelism()
     assert tp is not None
     profile = result.profile
@@ -180,64 +183,61 @@ def _sim_tasks(result: AnalysisResult, machine: Machine, threads: int) -> list[S
 
     split = _worker_barrier_loops(result, tp)
     if split is not None:
-        workers, barriers = split
-        worker_invs = {r: loop_invocation_costs(profile, r) for r in workers}
-        barrier_invs = {r: loop_invocation_costs(profile, r) for r in barriers}
-        n_rounds = max(
-            [len(v) for v in worker_invs.values()]
-            + [len(v) for v in barrier_invs.values()]
-            + [0]
-        )
-        per_worker_threads = max(1, threads // max(1, len(workers)))
-        serial = 0.0
-        parallel = 0.0
-        for t in range(n_rounds):
-            phase1 = 0.0
-            for r in workers:
-                invs = worker_invs[r]
-                if t >= len(invs):
-                    continue
-                lc = result.loop_classes.get(r)
-                sim = (
-                    simulate_reduction(
-                        [invs[t]], machine, threads=per_worker_threads, streaming=sf
-                    )
-                    if lc is not None and lc.is_reduction
-                    else simulate_doall(
-                        [invs[t]], machine, threads=per_worker_threads, streaming=sf
-                    )
+        # Each round runs the workers' next invocations side by side
+        # (reduction loops pay their combine), then the barrier loops'.
+        workers = []
+        for r in split[0]:
+            lc = result.loop_classes.get(r)
+            reduces = lc is not None and lc.is_reduction
+            workers.append(
+                (
+                    loop_invocation_costs(profile, r),
+                    simulate_reduction if reduces else simulate_doall,
                 )
-                serial += sim.serial_time
-                phase1 = max(phase1, sim.parallel_time)
-            phase2 = 0.0
-            for r in barriers:
-                invs = barrier_invs[r]
-                if t >= len(invs):
-                    continue
-                sim = simulate_doall([invs[t]], machine, threads=threads, streaming=sf)
-                serial += sim.serial_time
-                phase2 += sim.parallel_time
-            parallel += phase1 + phase2
-            if threads > 1:
-                parallel += machine.barrier_cost(threads)
-        return [SimOutcome(threads=threads, serial_time=serial, parallel_time=parallel)]
+            )
+        barriers = [loop_invocation_costs(profile, r) for r in split[1]]
+        n_rounds = max(
+            [len(invs) for invs, _ in workers] + [len(invs) for invs in barriers] + [0]
+        )
+
+        def rounds(m: Machine) -> list[SimOutcome]:
+            threads = m.threads
+            per_worker_threads = max(1, threads // len(workers))
+            serial = 0.0
+            parallel = 0.0
+            for t in range(n_rounds):
+                phase1 = 0.0
+                for invs, simulate in workers:
+                    if t < len(invs):
+                        sim = simulate(
+                            [invs[t]], m, threads=per_worker_threads, streaming=sf
+                        )
+                        serial += sim.serial_time
+                        phase1 = max(phase1, sim.parallel_time)
+                phase2 = 0.0
+                for invs in barriers:
+                    if t < len(invs):
+                        sim = simulate_doall([invs[t]], m, streaming=sf)
+                        serial += sim.serial_time
+                        phase2 += sim.parallel_time
+                parallel += phase1 + phase2
+                if threads > 1:
+                    parallel += m.barrier_cost(threads)
+            return [SimOutcome(threads=threads, serial_time=serial, parallel_time=parallel)]
+
+        return rounds
 
     recursive = (
         reg is not None
         and reg.kind == "function"
         and result.program.has_function(reg.function)
     )
-    activations = profile.activations(tp.region)
-    if recursive and len(activations) > 1:
-        return [
-            simulate_recursive_tasks(
-                work=float(tp.total_instructions),
-                span=float(tp.critical_path_instructions),
-                n_tasks=len(activations),
-                machine=machine,
-                threads=threads,
-                streaming=sf,
-            )
+    n_tasks = len(profile.activations(tp.region))
+    if recursive and n_tasks > 1:
+        work = float(tp.total_instructions)
+        span = float(tp.critical_path_instructions)
+        return lambda m: [
+            simulate_recursive_tasks(work, span, n_tasks, m, streaming=sf)
         ]
     weights = {
         cu.cu_id: float(
@@ -245,17 +245,14 @@ def _sim_tasks(result: AnalysisResult, machine: Machine, threads: int) -> list[S
         )
         for cu in tp.cus
     }
-    return [simulate_task_graph(tp.graph, weights, machine, threads=threads)]
+    return lambda m: [simulate_task_graph(tp.graph, weights, m)]
 
 
-def _sim_geometric(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
+def _plan_geometric(result: AnalysisResult) -> Schedule:
     gd = result.geometric[0]
     chunks = [float(n.inclusive_cost) for n in result.profile.activations(gd.region)]
-    return [
-        simulate_geometric(
-            chunks, machine, threads=threads, streaming=result.profile.streaming_fraction
-        )
-    ]
+    sf = result.profile.streaming_fraction
+    return lambda m: [simulate_geometric(chunks, m, streaming=sf)]
 
 
 def _best_loop(result: AnalysisResult, want_reduction: bool) -> int | None:
@@ -273,7 +270,8 @@ def _best_loop(result: AnalysisResult, want_reduction: bool) -> int | None:
     return None if best is None else best[1]
 
 
-def _sim_reduction(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
+def _plan_reduction(result: AnalysisResult) -> Schedule | None:
+    sf = result.profile.streaming_fraction
     loop = _best_loop(result, want_reduction=True)
     if loop is None:
         # The reduction lives in a loop that is not cleanly classified as a
@@ -284,27 +282,19 @@ def _sim_reduction(result: AnalysisResult, machine: Machine, threads: int) -> li
             r for r in result.reductions if r in result.hotspot_regions
         ]
         if not candidates:
-            return []
+            return None
         loop = max(candidates, key=lambda r: result.profile.region_cost(r))
-        activations = result.profile.activations(loop)
-        if len(activations) > 8:
+        n_tasks = len(result.profile.activations(loop))
+        if n_tasks > 8:
             # Recursive search: model as a task tree with per-call tasks
             # (the BOTS nqueens implementation) plus the reduction combine.
             work = float(result.profile.region_cost(loop))
             depth = _max_depth(result.profile, loop)
-            span = work / max(1, len(activations)) * max(1, depth)
-            return [
-                simulate_recursive_tasks(
-                    work=work,
-                    span=span,
-                    n_tasks=len(activations),
-                    machine=machine,
-                    threads=threads,
-                    streaming=result.profile.streaming_fraction,
-                )
+            span = work / max(1, n_tasks) * max(1, depth)
+            return lambda m: [
+                simulate_recursive_tasks(work, span, n_tasks, m, streaming=sf)
             ]
     lc = result.loop_classes[loop]
-    sf = result.profile.streaming_fraction
 
     # How would the reduction actually be implemented?
     # 1. If the reduction loop sits inside hotspot do-all ancestors
@@ -327,7 +317,7 @@ def _sim_reduction(result: AnalysisResult, machine: Machine, threads: int) -> li
             break
     if target is not None:
         invs = loop_invocation_costs(result.profile, target)
-        return [simulate_doall(invs, machine, threads=threads, streaming=sf)]
+        return lambda m: [simulate_doall(invs, m, streaming=sf)]
 
     # 2. Otherwise simulate the reduction loop itself.  Array reduction
     #    variables (bicg's s[]) are privatized per thread and combined
@@ -342,37 +332,29 @@ def _sim_reduction(result: AnalysisResult, machine: Machine, threads: int) -> li
         else:
             combine_units += 1
     invs = loop_invocation_costs(result.profile, loop)
-    return [
-        simulate_reduction(
-            invs,
-            machine,
-            threads=threads,
-            n_reduction_vars=max(1, combine_units),
-            streaming=sf,
-        )
+    n_vars = max(1, combine_units)
+    return lambda m: [
+        simulate_reduction(invs, m, n_reduction_vars=n_vars, streaming=sf)
     ]
 
 
-def _sim_doall(result: AnalysisResult, machine: Machine, threads: int) -> list[SimOutcome]:
+def _plan_doall(result: AnalysisResult) -> Schedule | None:
     loop = _best_loop(result, want_reduction=False)
     if loop is None:
-        return []
+        return None
     invs = loop_invocation_costs(result.profile, loop)
-    return [
-        simulate_doall(
-            invs, machine, threads=threads, streaming=result.profile.streaming_fraction
-        )
-    ]
+    sf = result.profile.streaming_fraction
+    return lambda m: [simulate_doall(invs, m, streaming=sf)]
 
 
-#: The simulator of each pattern, keyed by its label up to any " + " suffix.
-_SIMULATORS = {
-    "Fusion": _sim_fusion,
-    "Multi-loop pipeline": _sim_pipeline,
-    "Task parallelism": _sim_tasks,
-    "Geometric decomposition": _sim_geometric,
-    "Reduction": _sim_reduction,
-    "Do-all": _sim_doall,
+#: The plan of each pattern, keyed by its label up to any " + " suffix.
+_PLANS = {
+    "Fusion": _plan_fusion,
+    "Multi-loop pipeline": _plan_pipeline,
+    "Task parallelism": _plan_tasks,
+    "Geometric decomposition": _plan_geometric,
+    "Reduction": _plan_reduction,
+    "Do-all": _plan_doall,
 }
 
 
@@ -383,9 +365,12 @@ _SIMULATORS = {
 
 @dataclass(frozen=True)
 class PlanOutcome:
-    """Detected pattern plus simulated thread sweep."""
+    """Detected pattern, its hotspot share and its simulated thread sweep."""
 
     label: str
+    #: Table III's "Exec Inst % in Hotspot" (as a fraction): the share of
+    #: executed instructions in the region(s) the pattern was found in
+    share: float
     sweep: ThreadSweep
 
     @property
@@ -397,19 +382,27 @@ class PlanOutcome:
         return self.sweep.best_speedup
 
 
-def simulate_analysis(
+def sweep_pattern(
     result: AnalysisResult,
-    threads: int,
+    label: str,
+    thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS,
     machine: Machine = DEFAULT_MACHINE,
-    label: str | None = None,
-) -> float:
-    """Overall program speedup at one thread count."""
-    label = label or summarize_patterns(result)
-    simulate = _SIMULATORS.get(label.split(" + ")[0])
-    regions = simulate(result, machine.with_threads(threads), threads) if simulate else []
-    if not regions:
-        return 1.0
-    return compose_speedup(float(result.profile.total_cost), regions)
+) -> ThreadSweep:
+    """Overall program speedup of pattern *label* at each thread count.
+
+    The pattern is planned once; each thread count replays its schedule.
+    A label without a plan, or a plan with no region to run, is 1.0.
+    """
+    plan = _PLANS.get(label.split(" + ")[0])
+    schedule = plan(result) if plan else None
+    total = float(result.profile.total_cost)
+
+    def speedup_at(threads: int) -> float:
+        if schedule is None:
+            return 1.0
+        return compose_speedup(total, schedule(machine.with_threads(threads)))
+
+    return sweep_threads(speedup_at, thread_counts)
 
 
 def plan_and_simulate(
@@ -418,9 +411,9 @@ def plan_and_simulate(
     machine: Machine = DEFAULT_MACHINE,
 ) -> PlanOutcome:
     """Detect the primary pattern and sweep the thread counts."""
-    label = summarize_patterns(result)
-    sweep = sweep_threads(
-        lambda p: simulate_analysis(result, p, machine=machine, label=label),
-        thread_counts,
+    label, regions = primary_pattern(result)
+    return PlanOutcome(
+        label=label,
+        share=region_share(result.profile, regions),
+        sweep=sweep_pattern(result, label, thread_counts, machine),
     )
-    return PlanOutcome(label=label, sweep=sweep)

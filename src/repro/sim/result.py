@@ -12,7 +12,6 @@ class SimOutcome:
     threads: int
     serial_time: float
     parallel_time: float
-    detail: str = ""
 
     @property
     def speedup(self) -> float:
@@ -29,7 +28,6 @@ class SimOutcome:
             threads=self.threads,
             serial_time=self.serial_time + other.serial_time,
             parallel_time=self.parallel_time + other.parallel_time,
-            detail=self.detail or other.detail,
         )
 
     __radd__ = __add__

@@ -55,12 +55,7 @@ def simulate_task_graph(
                 ready.append(succ)
         ready.sort(key=str)
     makespan = max(finish.values()) + machine.barrier_cost(p)
-    return SimOutcome(
-        threads=p,
-        serial_time=serial,
-        parallel_time=float(makespan),
-        detail=f"task graph: {len(nodes)} tasks",
-    )
+    return SimOutcome(threads=p, serial_time=serial, parallel_time=float(makespan))
 
 
 def simulate_recursive_tasks(
@@ -89,9 +84,4 @@ def simulate_recursive_tasks(
         + span
         + machine.barrier_cost(p)
     )
-    return SimOutcome(
-        threads=p,
-        serial_time=float(work),
-        parallel_time=float(t_par),
-        detail=f"recursive tasks: W={work:.0f}, D={span:.0f}, n={n_tasks}",
-    )
+    return SimOutcome(threads=p, serial_time=float(work), parallel_time=float(t_par))

@@ -14,6 +14,12 @@ A failing test prints the observed digest.
 
 Each full document, spans and timings included, must also survive
 ``analysis_from_dict`` and encode back to the same text.
+
+The same analyses pin the simulation layer in ``sim_golden.json``: for
+each program, ``plan_and_simulate``'s label, hotspot share and speedup at
+every default thread count, and every ``rank_patterns`` option (label,
+best speedup, best threads, effort, lines touched), all compared exactly.
+A failing test prints the observed entry.
 """
 
 import hashlib
@@ -27,11 +33,14 @@ from repro.corpus import generate_programs
 from repro.lang.parser import parse_program
 from repro.lang.validate import validate_program
 from repro.patterns.engine import analyze
+from repro.patterns.ranking import rank_patterns
 from repro.patterns.schema import analysis_from_dict, analysis_to_dict, strip_trace_timings
 from repro.profiling.serialize import canonical_json
 from repro.service.jobs import build_call_args
+from repro.sim import plan_and_simulate
 
 _DIGESTS = json.loads(Path(__file__).with_name("analysis_golden.json").read_text())
+_SIM = json.loads(Path(__file__).with_name("sim_golden.json").read_text())
 
 _CORPUS = generate_programs(count=200, seed=7, adversarial=True)
 
@@ -44,18 +53,48 @@ def _assert_pinned(section, key, result):
     assert observed == _DIGESTS[section][key], json.dumps({key: observed})
 
 
+def _assert_sim_pinned(section, key, result):
+    outcome = plan_and_simulate(result)
+    observed = {
+        "label": outcome.label,
+        "share": outcome.share,
+        "speedups": [speedup for _, speedup in outcome.sweep.as_rows()],
+        "ranking": [
+            [o.label, o.best_speedup, o.best_threads, o.effort, o.lines_touched]
+            for o in rank_patterns(result)
+        ],
+    }
+    assert observed == _SIM[section][key], json.dumps({key: observed}, sort_keys=True)
+
+
+@pytest.fixture(
+    scope="module",
+    params=range(len(_CORPUS)),
+    ids=lambda idx: f"{idx}-{_CORPUS[idx].template}",
+)
+def corpus_case(request):
+    """``(key, result)`` for one corpus program, shared by its two tests."""
+    # analysed as repro.corpus.score.analyze_entry analyses a corpus file
+    tp = _CORPUS[request.param]
+    program = parse_program(tp.source)
+    validate_program(program)
+    result = analyze(program, tp.entry, [build_call_args(tp.arg_specs, seed=0)])
+    return f"{request.param}-{tp.template}", result
+
+
 @pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
 def test_registry_document(spec):
     _assert_pinned("registry", spec.name, analyze_benchmark(spec.name))
 
 
-@pytest.mark.parametrize(
-    "idx", range(len(_CORPUS)), ids=lambda idx: f"{idx}-{_CORPUS[idx].template}"
-)
-def test_corpus_document(idx):
-    # analysed as repro.corpus.score.analyze_entry analyses a corpus file
-    tp = _CORPUS[idx]
-    program = parse_program(tp.source)
-    validate_program(program)
-    result = analyze(program, tp.entry, [build_call_args(tp.arg_specs, seed=0)])
-    _assert_pinned("corpus", f"{idx}-{tp.template}", result)
+def test_corpus_document(corpus_case):
+    _assert_pinned("corpus", *corpus_case)
+
+
+@pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
+def test_registry_sim(spec):
+    _assert_sim_pinned("registry", spec.name, analyze_benchmark(spec.name))
+
+
+def test_corpus_sim(corpus_case):
+    _assert_sim_pinned("corpus", *corpus_case)

@@ -5,7 +5,7 @@ import numpy as np
 from repro.patterns.engine import (
     analyze,
     primary_pattern,
-    primary_pattern_share,
+    region_share,
     summarize_patterns,
 )
 
@@ -146,7 +146,7 @@ float f(float A[], int n) {
         )
         regions = primary_pattern(result)[1]
         assert regions
-        share = primary_pattern_share(result)
+        share = region_share(result.profile, regions)
         assert 0.5 < share <= 1.0
 
     def test_share_bounded(self):
@@ -155,7 +155,7 @@ float f(float A[], int n) {
             "f",
             [np.zeros(16), 16],
         )
-        assert 0.0 <= primary_pattern_share(result) <= 1.0
+        assert 0.0 <= region_share(result.profile, primary_pattern(result)[1]) <= 1.0
 
 
 class TestCleanPipelines:

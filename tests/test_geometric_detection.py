@@ -58,7 +58,7 @@ void driver(float A[], float &m, int reps, int n) {
 """
         gd = gd_of(src, "driver", [np.ones(8), 0.0, 3, 8], "stats")
         assert gd is not None
-        assert gd.has_reduction_loops
+        assert any(lc.is_reduction for lc in gd.analyzed_loops.values())
 
     def test_sequential_loop_blocks(self):
         src = """\

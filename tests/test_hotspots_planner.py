@@ -5,7 +5,7 @@ import pytest
 
 from repro.patterns.engine import analyze
 from repro.profiling import hotspot_regions, profile_run, region_coverage
-from repro.sim import plan_and_simulate, simulate_analysis
+from repro.sim import plan_and_simulate, sweep_pattern
 from repro.sim.planner import loop_invocation_costs, pipeline_co_invocations
 
 from conftest import parsed
@@ -93,19 +93,19 @@ class TestSimulateAnalysis:
         result = analyze(
             pipeline_program, "kernel", [[np.ones(32), np.zeros(32), 32]]
         )
-        as_pipeline = simulate_analysis(result, 8, label="Multi-loop pipeline")
-        as_doall = simulate_analysis(result, 8, label="Do-all")
-        assert as_pipeline != as_doall
+        as_pipeline = sweep_pattern(result, "Multi-loop pipeline", (8,))
+        as_doall = sweep_pattern(result, "Do-all", (8,))
+        assert as_pipeline.speedups[8] != as_doall.speedups[8]
 
     def test_unknown_label_neutral(self, pipeline_program):
         result = analyze(
             pipeline_program, "kernel", [[np.ones(16), np.zeros(16), 16]]
         )
-        assert simulate_analysis(result, 8, label="Nonsense") == 1.0
+        assert sweep_pattern(result, "Nonsense", (8,)).speedups == {8: 1.0}
 
     def test_single_thread_is_identity(self, reduction_program):
         result = analyze(reduction_program, "total", [[np.ones(32), 32]])
-        assert simulate_analysis(result, 1) == pytest.approx(1.0)
+        assert plan_and_simulate(result, (1,)).best_speedup == pytest.approx(1.0)
 
     def test_plan_outcome_fields(self, reduction_program):
         result = analyze(reduction_program, "total", [[np.ones(64), 64]])

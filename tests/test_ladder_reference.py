@@ -4,7 +4,8 @@
 once and returns the label with the regions the winning rung found.
 :mod:`reference_ladder` keeps the two walks it replaced: one for the
 label, one for the regions.  Every result must get the same label,
-regions and "Exec Inst % in Hotspot" share from both.
+regions and "Exec Inst % in Hotspot" share from both, and
+``plan_and_simulate`` must report that label and share.
 
 Inputs: the 17 registry programs, an adversarial corpus draw, and the
 results ``test_summary_precedence.py`` grafts onto each rung (through
@@ -22,10 +23,11 @@ from repro.lang.validate import validate_program
 from repro.patterns.engine import (
     analyze,
     primary_pattern,
-    primary_pattern_share,
+    region_share,
     summarize_patterns,
 )
 from repro.service.jobs import build_call_args
+from repro.sim import plan_and_simulate
 
 _CORPUS = generate_programs(count=200, seed=7, adversarial=True)
 
@@ -37,7 +39,10 @@ def assert_matches_reference(result):
         ref.primary_pattern_regions(result),
     )
     assert summarize_patterns(result) == label
-    assert primary_pattern_share(result) == ref.primary_pattern_share(result)
+    share = region_share(result.profile, regions)
+    assert share == ref.primary_pattern_share(result)
+    outcome = plan_and_simulate(result, thread_counts=())
+    assert (outcome.label, outcome.share) == (label, share)
 
 
 @pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)

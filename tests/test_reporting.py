@@ -5,7 +5,13 @@ import pytest
 
 from repro.patterns.engine import analyze
 from repro.profiling import profile_run
-from repro.reporting import analysis_report, cu_graph_dot, format_table, pet_dot
+from repro.reporting import (
+    analysis_report,
+    cu_graph_dot,
+    format_table,
+    pet_dot,
+    trace_report,
+)
 
 from conftest import parsed
 
@@ -120,3 +126,47 @@ class TestAnalysisReport:
         result = analyze(reduction_program, "total", [[np.ones(32), 32]])
         text = analysis_report(result)
         assert "SPMD" in text
+
+
+class TestTraceReport:
+    """Each rejected candidate states the relation its observed value
+    actually has to the threshold."""
+
+    # two sweeps both feed the accumulating loop: two pipeline sources
+    NORMDOT = """\
+float normdot(float A[], float B[], float SA[], float SB[], int n) {
+    for (int i = 0; i < n; i++) {
+        SA[i] = A[i] / (fabs(A[i]) + 1.0);
+    }
+    for (int j = 0; j < n; j++) {
+        SB[j] = B[j] / (fabs(B[j]) + 1.0);
+    }
+    float dot = 0.0;
+    for (int k = 0; k < n; k++) {
+        dot += SA[k] * SB[k];
+    }
+    return dot;
+}
+"""
+
+    @pytest.fixture(scope="class")
+    def lines(self):
+        n = 64
+        result = analyze(
+            parsed(self.NORMDOT),
+            "normdot",
+            [[np.ones(n), np.ones(n), np.zeros(n), np.zeros(n), n]],
+        )
+        return trace_report(result).splitlines()
+
+    def test_multi_source_pipeline_rejection(self, lines):
+        assert (
+            "  rejected pipeline [for@2 -> for@9]: multi-source-consumer "
+            "(2 > SINGLE_SOURCE=1) — loop 3 consumes [1, 2]"
+        ) in lines
+
+    def test_no_skew_wavefront_rejection(self, lines):
+        assert (
+            "  rejected wavefront [for@2 -> for@9]: no-skew-offset "
+            "(0 == MAX_SKEW_INTERCEPT=0) — b=0.000 >= 0: plain pipeline, not skewed"
+        ) in lines

@@ -398,6 +398,27 @@ class TestValidation:
                 client.submit_benchmark("reg_detect", **bad)
             assert exc.value.status == 400, bad
 
+    def test_values_the_simulator_cannot_run_rejected_at_submission(self, client):
+        # the client sends float("nan") and float("inf") as the bare NaN and
+        # Infinity constants, which json.loads accepts unless told not to
+        for bad in (
+            {"machine": {"bw_saturation": 0}},
+            {"scale": float("nan")},
+            {"scale": float("inf")},
+            {"machine": {"spawn_cost": float("nan")}},
+        ):
+            with pytest.raises(ServiceError) as exc:
+                client.submit_benchmark("bicg", **bad)
+            assert exc.value.status == 400, bad
+        assert client.jobs() == []
+
+    def test_retired_machine_field_is_unknown(self, client):
+        with pytest.raises(ServiceError) as exc:
+            client.submit_benchmark("bicg", machine={"chunk_cost": 12.0})
+        assert exc.value.status == 400
+        assert "unknown machine fields ['chunk_cost']" in exc.value.message
+        assert client.jobs() == []
+
     def test_bench_accepts_campaign_knobs(self, client):
         job = client.submit_benchmark(
             "reg_detect", scale=1.0, threshold=0.1,

@@ -10,7 +10,7 @@ from repro.sim import (
     compose_speedup,
     simulate_doall,
     simulate_geometric,
-    simulate_pipeline,
+    simulate_pipeline_chain,
     simulate_recursive_tasks,
     simulate_reduction,
     simulate_task_graph,
@@ -155,15 +155,15 @@ class TestPipeline:
     def test_perfect_pipeline_overlaps(self):
         cx = [100.0] * 20
         cy = [10.0] * 20
-        out = simulate_pipeline(cx, cy, a=1.0, b=0.0, machine=M, threads=8)
+        out = simulate_pipeline_chain([cx, cy], [(1.0, 0.0)], M, threads=8)
         # stage 1 parallelized over 7 threads; y trails slightly
         assert out.speedup > 3.0
 
     def test_sequential_producer_two_stage_cap(self):
         cx = [100.0] * 20
         cy = [100.0] * 20
-        out = simulate_pipeline(
-            cx, cy, a=1.0, b=0.0, machine=M, threads=8, stage_x_parallel=False
+        out = simulate_pipeline_chain(
+            [cx, cy], [(1.0, 0.0)], M, threads=8, stage0_parallel=False
         )
         assert out.speedup < 2.1
 
@@ -171,17 +171,19 @@ class TestPipeline:
         cx = [100.0] * 20
         cy = [100.0] * 20
         # b = -20: y's first iteration needs x's last
-        out = simulate_pipeline(
-            cx, cy, a=1.0, b=-20.0, machine=M, threads=4, stage_x_parallel=False
+        out = simulate_pipeline_chain(
+            [cx, cy], [(1.0, -20.0)], M, threads=4, stage0_parallel=False
         )
         assert out.speedup < 1.1
 
     def test_single_thread_serial(self):
-        out = simulate_pipeline([10.0] * 4, [10.0] * 4, 1.0, 0.0, M, threads=1)
+        out = simulate_pipeline_chain(
+            [[10.0] * 4, [10.0] * 4], [(1.0, 0.0)], M, threads=1
+        )
         assert out.parallel_time == out.serial_time
 
     def test_empty_stage(self):
-        out = simulate_pipeline([], [10.0], 1.0, 0.0, M, threads=4)
+        out = simulate_pipeline_chain([[], [10.0]], [(1.0, 0.0)], M, threads=4)
         assert out.speedup == 1.0
 
 
