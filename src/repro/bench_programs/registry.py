@@ -98,13 +98,8 @@ def all_benchmarks() -> list[BenchmarkSpec]:
 
 
 @functools.lru_cache(maxsize=None)
-def analyze_benchmark(name: str, engine: str = "compiled") -> AnalysisResult:
-    """Analyze a registered benchmark (cached across the test session).
-
-    *engine* picks the execution engine for the instrumented runs; results
-    are identical across engines, but each ``(name, engine)`` pair caches
-    separately so differential tests exercise real runs on both.
-    """
+def analyze_benchmark(name: str) -> AnalysisResult:
+    """Analyze a registered benchmark (cached across the test session)."""
     spec = get_benchmark(name)
     return analyze(
         spec.program,
@@ -112,5 +107,4 @@ def analyze_benchmark(name: str, engine: str = "compiled") -> AnalysisResult:
         spec.arg_sets(),
         hotspot_threshold=spec.hotspot_threshold,
         min_pairs=spec.min_pairs,
-        engine=engine,
     )

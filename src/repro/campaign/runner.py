@@ -31,10 +31,6 @@ from repro.campaign.store import CampaignStore
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span
 
-#: outcome labels for the campaign cell counter
-_OUTCOMES = ("submitted", "reused_store", "reused_resume", "failed")
-
-
 def _cells_counter():
     return get_registry().counter(
         "repro_campaign_cells_total",

@@ -202,8 +202,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     program = compile_source(_read_source(args))
     profile, hit = cached_profile_runs(
-        program, args.entry, [_collect_args(args)], cache=_make_cache(args),
-        engine=args.engine,
+        program, args.entry, [_collect_args(args)], cache=_make_cache(args)
     )
     with open(args.output, "w") as fh:
         save_profile(profile, fh)
@@ -240,8 +239,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 "required when no --profile file is given"
             )
         profile, hit = cached_profile_runs(
-            program, args.entry, [_collect_args(args)], cache=_make_cache(args),
-            engine=args.engine,
+            program, args.entry, [_collect_args(args)], cache=_make_cache(args)
         )
         # Keep stdout pure JSON in --json mode; the provenance note is advisory.
         print(
@@ -293,12 +291,12 @@ def _cmd_bench_smoke(args: argparse.Namespace) -> int:
 
         t0 = time.perf_counter()
         cold_profile, cold_hit = cached_profile_runs(
-            program, "kernel", arg_sets, cache=cache, engine=args.engine
+            program, "kernel", arg_sets, cache=cache
         )
         cold_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         warm_profile, warm_hit = cached_profile_runs(
-            program, "kernel", arg_sets, cache=cache, engine=args.engine
+            program, "kernel", arg_sets, cache=cache
         )
         warm_s = time.perf_counter() - t0
 
@@ -336,10 +334,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.name is None:
         raise CommandError("a benchmark name is required (or use --smoke)")
     got = run_one(
-        args.name, timeout=args.timeout, retries=args.retries,
-        analyze_fn=lambda name, _cache_dir: (
-            get_benchmark(name), analyze_benchmark(name, engine=args.engine)
-        ),
+        lambda: (get_benchmark(args.name), analyze_benchmark(args.name)),
+        name=args.name, timeout=args.timeout, retries=args.retries,
     )
     if isinstance(got, FailedOutcome):
         if args.json:
@@ -422,7 +418,6 @@ def _cmd_table3(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retries=args.retries,
         fail_fast=not args.keep_going,
-        engine=args.engine,
     )
     failures = [o for o in outcomes if not o.ok]
     footer = "\n" + _failure_footer(failures, len(outcomes)) if failures else ""
@@ -634,9 +629,7 @@ def _cmd_corpus_generate(args: argparse.Namespace) -> int:
 def _cmd_corpus_score(args: argparse.Namespace) -> int:
     from repro.corpus import score_csv, score_entries, score_table
 
-    score = score_entries(
-        _load_corpus(args.dir), cache=_make_cache(args), engine=args.engine
-    )
+    score = score_entries(_load_corpus(args.dir), cache=_make_cache(args))
     _emit(args, score, score_table, csv=score_csv)
     return 1 if score["mismatches"] else 0
 
@@ -645,8 +638,7 @@ def _cmd_learn_features(args: argparse.Namespace) -> int:
     from repro.learn import corpus_features, features_csv, features_table
 
     doc = corpus_features(
-        _load_corpus(args.dir), cache=_make_cache(args), engine=args.engine,
-        parallel=args.parallel,
+        _load_corpus(args.dir), cache=_make_cache(args), parallel=args.parallel
     )
     _emit(args, doc, features_table, csv=features_csv)
     return 0
@@ -659,8 +651,7 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
     try:
         model = train_on_corpus(
             suite, kind=args.model, seed=args.seed, holdout=args.holdout,
-            cache=_make_cache(args), engine=args.engine,
-            parallel=args.parallel,
+            cache=_make_cache(args), parallel=args.parallel,
         )
     except ValueError as exc:
         raise CommandError(str(exc)) from None
@@ -682,8 +673,7 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
     try:
         doc = evaluate_corpus(
             suite, kind=args.model, seed=args.seed, holdout=args.holdout,
-            cache=_make_cache(args), engine=args.engine,
-            parallel=args.parallel,
+            cache=_make_cache(args), parallel=args.parallel,
         )
     except ValueError as exc:
         raise CommandError(str(exc)) from None
@@ -874,13 +864,6 @@ def _add_wait_flags(p: argparse.ArgumentParser, help: str) -> None:
     p.add_argument("--wait-timeout", type=float, default=300.0)
 
 
-def _add_engine_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=["compiled", "tree"], default="compiled",
-                   help="execution engine for instrumented runs: compiled "
-                        "closures (default) or the tree-walking reference "
-                        "interpreter; profiles are identical either way")
-
-
 def _add_json_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit the versioned analysis schema as JSON")
@@ -917,7 +900,6 @@ def _add_learn_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--parallel", action="store_true",
                    help="extract features with a process pool "
                         "(output is byte-identical to serial)")
-    _add_engine_flag(p)
     _add_json_flags(p)
 
 
@@ -962,7 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", required=True)
     _add_inputs(p)
     _add_cache_flags(p)
-    _add_engine_flag(p)
 
     p = command(sub, "detect", _cmd_detect,
                 "phase 2: run pattern detection over a saved or cached profile")
@@ -976,7 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flags(p)
     p.add_argument("--threshold", type=float, default=0.10)
     _add_report_flags(p)
-    _add_engine_flag(p)
     _add_json_flags(p)
 
     p = command(sub, "bench", _cmd_bench, "analyze a registered benchmark")
@@ -988,7 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cache directory for --smoke (default: a temp dir it removes)")
     p.add_argument("--no-source", action="store_true")
     _add_fault_flags(p)
-    _add_engine_flag(p)
     _add_json_flags(p)
 
     p = command(sub, "list", _cmd_list, "list registered benchmarks")
@@ -1080,7 +1059,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-fast", dest="keep_going", action="store_false",
                    help="stop the sweep at the first exhausted failure "
                         "and exit non-zero")
-    _add_engine_flag(p)
     _add_json_flags(p)
 
     p = command(sub, "experiments", _cmd_experiments,
@@ -1173,7 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_dir(p)
     p.add_argument("--csv", action="store_true",
                    help="emit the per-detector table as CSV")
-    _add_engine_flag(p)
     _add_json_flags(p)
 
     learn = sub.add_parser(

@@ -37,9 +37,7 @@ def predicted_patterns(result: AnalysisResult) -> dict[str, bool]:
     }
 
 
-def analyze_entry(
-    entry: CorpusEntry, cache=None, engine: str = "compiled"
-) -> AnalysisResult:
+def analyze_entry(entry: CorpusEntry, cache=None) -> AnalysisResult:
     """Run the full detector pipeline over one corpus program."""
     from repro.lang.parser import parse_program
     from repro.lang.validate import validate_program
@@ -49,7 +47,7 @@ def analyze_entry(
     program = parse_program(entry.source)
     validate_program(program)
     args = build_call_args(entry.arg_specs, seed=0)
-    return analyze(program, entry.entry, [args], cache=cache, engine=engine)
+    return analyze(program, entry.entry, [args], cache=cache)
 
 
 def score_corpus(
@@ -177,11 +175,10 @@ def score_entries(
     suite: CorpusSuite,
     entries: Iterable[CorpusEntry] | None = None,
     cache=None,
-    engine: str = "compiled",
 ) -> dict[str, Any]:
     """Analyze (or re-use *cache*) every corpus entry and score the suite."""
     predictions: dict[str, dict[str, bool]] = {}
     for entry in entries if entries is not None else suite.entries:
-        result = analyze_entry(entry, cache=cache, engine=engine)
+        result = analyze_entry(entry, cache=cache)
         predictions[entry.name] = predicted_patterns(result)
     return score_corpus(suite, predictions)

@@ -19,7 +19,6 @@ from repro.learn.features import (
     FEATURES_VERSION,
     corpus_features,
     extract_features,
-    feature_vector,
     features_for_entry,
 )
 from repro.learn.model import (
@@ -47,7 +46,6 @@ __all__ = [
     "FEATURES_VERSION",
     "corpus_features",
     "extract_features",
-    "feature_vector",
     "features_for_entry",
     "LEARN_MODEL_RECORD",
     "MODEL_KINDS",

@@ -66,7 +66,6 @@ def evaluate_corpus(
     seed: int = 7,
     holdout: float = DEFAULT_HOLDOUT,
     cache=None,
-    engine: str = "compiled",
     parallel: bool = False,
 ) -> dict[str, Any]:
     """Train on the corpus' train split and score both systems on the rest.
@@ -75,9 +74,7 @@ def evaluate_corpus(
     model's digest, and per-dimension confusion metrics for the learned
     model and the rule-based detectors over the same held-out programs.
     """
-    features_doc = corpus_features(
-        suite, cache=cache, engine=engine, parallel=parallel
-    )
+    features_doc = corpus_features(suite, cache=cache, parallel=parallel)
     rows = {row["name"]: row for row in features_doc["programs"]}
     train_names, held_names = holdout_split(
         [e.name for e in suite.entries], seed=seed, holdout=holdout
@@ -107,14 +104,12 @@ def evaluate_corpus(
         suite,
         entries=[e for e in suite.entries if e.name in held_set],
         cache=cache,
-        engine=engine,
     )
     return {
         "schema_version": SCHEMA_VERSION,
         "record": LEARN_EVAL_RECORD,
         "corpus": suite.name,
         "corpus_digest": suite.corpus_digest,
-        "engine": engine,
         "model": kind,
         "model_digest": model.model_digest,
         "features_version": FEATURES_VERSION,
@@ -138,7 +133,6 @@ def train_on_corpus(
     seed: int = 7,
     holdout: float = 0.0,
     cache=None,
-    engine: str = "compiled",
     parallel: bool = False,
 ) -> LearnedModel:
     """Train a model artifact on the corpus (``repro learn train``).
@@ -148,9 +142,7 @@ def train_on_corpus(
     the model inside :func:`evaluate_corpus` are byte-identical for the
     same parameters.
     """
-    features_doc = corpus_features(
-        suite, cache=cache, engine=engine, parallel=parallel
-    )
+    features_doc = corpus_features(suite, cache=cache, parallel=parallel)
     rows = {row["name"]: row for row in features_doc["programs"]}
     names = [e.name for e in suite.entries]
     if holdout > 0.0:

@@ -54,6 +54,7 @@ from repro.lang.ast_nodes import (
     walk_exprs,
     walk_stmts,
 )
+from repro.patterns.doall import loop_induction_vars, non_escaping_names
 from repro.profiling.hotspots import DEFAULT_THRESHOLD
 from repro.profiling.model import RAW, WAR, WAW, Profile
 
@@ -260,24 +261,6 @@ def _loop_depth(program: Program, loop: int) -> int:
     return depth
 
 
-def _induction_names(program: Program, loop: int) -> set[str]:
-    """Induction variables of *loop* and every loop nested inside it."""
-    names: set[str] = set()
-    region = program.regions.get(loop)
-    if region is not None and region.node is not None:
-        names |= set(getattr(region.node, "induction_vars", frozenset()))
-    for other in program.regions.values():
-        if other.kind != "loop" or other.node is None:
-            continue
-        cursor = other
-        while cursor is not None and cursor.parent is not None:
-            if cursor.parent == loop:
-                names |= set(other.node.induction_vars)
-                break
-            cursor = program.regions.get(cursor.parent)
-    return names
-
-
 # ---------------------------------------------------------------------------
 # small deterministic folds
 # ---------------------------------------------------------------------------
@@ -408,7 +391,7 @@ def extract_features(program: Program, profile: Profile) -> dict[str, float]:
 
     # -- live dependence densities ----------------------------------------
     induction_by_loop = {
-        loop: _induction_names(program, loop) for loop in executed_loops
+        loop: loop_induction_vars(program, loop) for loop in executed_loops
     }
     carried_counts = {RAW: 0, WAR: 0, WAW: 0}
     independent_raw = 0
@@ -425,22 +408,9 @@ def extract_features(program: Program, profile: Profile) -> dict[str, float]:
     arrays = array_names(program)
 
     # Privatizable per classify_loop: written-before-read, non-escaping.
-    def non_escaping(loop: int) -> set[str]:
-        region = program.regions.get(loop)
-        if region is None or not program.has_function(region.function):
-            return set()
-        func = program.function(region.function)
-        names = {
-            p.name for p in func.params if not p.is_array and not p.by_ref
-        }
-        for stmt in walk_stmts(func.body):
-            if isinstance(stmt, VarDecl):
-                names.add(stmt.name)
-        return names
-
     privatizable_by_loop: dict[int, set[str]] = {}
     for loop in executed_loops:
-        local = non_escaping(loop)
+        local = non_escaping_names(program, loop)
         privatizable_by_loop[loop] = {
             var
             for (lp, var) in profile.loop_accessed
@@ -654,20 +624,12 @@ def extract_features(program: Program, profile: Profile) -> dict[str, float]:
     return out
 
 
-def feature_vector(program: Program, profile: Profile) -> list[float]:
-    """The vector in :data:`FEATURE_NAMES` order."""
-    features = extract_features(program, profile)
-    return [features[name] for name in FEATURE_NAMES]
-
-
 # ---------------------------------------------------------------------------
 # corpus-entry convenience (shared by eval, CLI, and the smoke gate)
 # ---------------------------------------------------------------------------
 
 
-def features_for_entry(
-    entry: "CorpusEntry", cache=None, engine: str = "compiled"
-) -> dict[str, float]:
+def features_for_entry(entry: "CorpusEntry", cache=None) -> dict[str, float]:
     """Profile one corpus entry and extract its feature vector."""
     from repro.lang.parser import parse_program
     from repro.lang.validate import validate_program
@@ -677,27 +639,24 @@ def features_for_entry(
     program = parse_program(entry.source)
     validate_program(program)
     args = build_call_args(entry.arg_specs, seed=0)
-    profile, _ = cached_profile_runs(
-        program, entry.entry, [args], cache=cache, engine=engine
-    )
+    profile, _ = cached_profile_runs(program, entry.entry, [args], cache=cache)
     return extract_features(program, profile)
 
 
-def _features_worker(payload: tuple[Any, str | None, str]) -> tuple[str, dict[str, float]]:
-    """Process-pool worker: (entry, cache_dir, engine) -> (name, features)."""
-    entry, cache_dir, engine = payload
+def _features_worker(payload: tuple[Any, str | None]) -> tuple[str, dict[str, float]]:
+    """Process-pool worker: (entry, cache_dir) -> (name, features)."""
+    entry, cache_dir = payload
     cache = None
     if cache_dir:
         from repro.profiling.cache import ProfileCache
 
         cache = ProfileCache(cache_dir)
-    return entry.name, features_for_entry(entry, cache=cache, engine=engine)
+    return entry.name, features_for_entry(entry, cache=cache)
 
 
 def corpus_features(
     suite,
     cache=None,
-    engine: str = "compiled",
     parallel: bool = False,
     max_workers: int | None = None,
 ) -> dict[str, Any]:
@@ -714,8 +673,7 @@ def corpus_features(
 
         cache_dir = getattr(cache, "root", None)
         payloads = [
-            (entry, str(cache_dir) if cache_dir else None, engine)
-            for entry in suite.entries
+            (entry, str(cache_dir) if cache_dir else None) for entry in suite.entries
         ]
         try:
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
@@ -725,9 +683,7 @@ def corpus_features(
             rows = {}  # fall back to serial below
     if not rows:
         for entry in suite.entries:
-            rows[entry.name] = features_for_entry(
-                entry, cache=cache, engine=engine
-            )
+            rows[entry.name] = features_for_entry(entry, cache=cache)
     from repro.patterns.schema import SCHEMA_VERSION
 
     return {

@@ -22,12 +22,7 @@ difference as ``obs.overhead_pct`` in a traced ``registry_warm`` run,
 budgeted at 5 % of a warm registry analysis.
 """
 
-from repro.obs.logs import (
-    JsonLogger,
-    configure_logging,
-    get_logger,
-    new_correlation_id,
-)
+from repro.obs.logs import JsonLogger, new_correlation_id
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -58,10 +53,8 @@ __all__ = [
     "Span",
     "Tracer",
     "activate",
-    "configure_logging",
     "current_tracer",
     "ensure_tracer",
-    "get_logger",
     "get_registry",
     "metrics_enabled",
     "new_correlation_id",

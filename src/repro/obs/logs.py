@@ -9,12 +9,12 @@ the :class:`~repro.service.jobs.JobStore`, the executor worker, and
 :func:`~repro.runtime.parallel.run_one` without any signature carrying it
 explicitly: each layer binds once and logs normally.
 
-The default process logger is a **null sink** (drops everything at the
-cost of one attribute check), so library code logs unconditionally and
-pays nothing unless the daemon — or a test — configured a destination.
-Writes are best-effort like the job store's old JSONL transition log:
-an unwritable path bumps :attr:`JsonLogger.errors` and the program keeps
-running.
+A logger given neither a path nor a stream is a **null sink** (drops
+everything at the cost of one attribute check), so the daemon's job store
+logs every transition unconditionally and pays nothing unless
+``repro serve --log-jobs`` names a file.  Writes are best-effort like the
+job store's old JSONL transition log: an unwritable path bumps
+:attr:`JsonLogger.errors` and the program keeps running.
 """
 
 from __future__ import annotations
@@ -110,25 +110,3 @@ class JsonLogger:
 
     def error(self, event: str, **fields: Any) -> None:
         self.log(event, level="error", **fields)
-
-
-_global_logger = JsonLogger()
-
-
-def get_logger() -> JsonLogger:
-    """The process logger (a null sink until :func:`configure_logging`)."""
-    return _global_logger
-
-
-def configure_logging(
-    path: str | None = None, stream: TextIO | None = None
-) -> JsonLogger:
-    """Point the process logger at *path* or *stream*; returns it.
-
-    Call with neither to reset to the null sink.  Loggers bound from the
-    previous configuration keep their old sink (configuration is not
-    retroactive) — rebind from :func:`get_logger` after configuring.
-    """
-    global _global_logger
-    _global_logger = JsonLogger(path=path, stream=stream)
-    return _global_logger

@@ -33,7 +33,8 @@ from repro.patterns.result import LoopClass, LoopClassification
 from repro.profiling.model import RAW, Profile
 
 
-def _induction_vars(program: Program, loop: int) -> set[str]:
+def loop_induction_vars(program: Program, loop: int) -> set[str]:
+    """Induction variables of *loop* and every loop nested inside it."""
     names: set[str] = set()
     region = program.regions.get(loop)
     if region is None or region.node is None:
@@ -51,7 +52,7 @@ def _induction_vars(program: Program, loop: int) -> set[str]:
     return names
 
 
-def _non_escaping_names(program: Program, loop: int) -> set[str]:
+def non_escaping_names(program: Program, loop: int) -> set[str]:
     """Names that cannot be observed outside the loop's function: declared
     locals and by-value scalar parameters.  Only these may be privatized."""
     from repro.lang.ast_nodes import VarDecl, walk_stmts
@@ -81,9 +82,9 @@ def classify_loop(
     written-before-read scalars (every loop-local temporary) block do-all
     classification, as a naive dependence test would conclude.
     """
-    induction = _induction_vars(program, loop)
+    induction = loop_induction_vars(program, loop)
     if use_privatization:
-        local = _non_escaping_names(program, loop)
+        local = non_escaping_names(program, loop)
         privatizable = {
             var
             for (lp, var) in profile.loop_accessed

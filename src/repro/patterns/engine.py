@@ -47,7 +47,6 @@ def analyze(
     arg_sets: Sequence[Sequence[Any]],
     hotspot_threshold: float = DEFAULT_THRESHOLD,
     min_pairs: int = 3,
-    record_calltree: bool = True,
     max_cost: int = 500_000_000,
     cache: ProfileCache | None = None,
     engine: str = "compiled",
@@ -65,9 +64,7 @@ def analyze(
             "profile", cached=cache is not None, runs=len(arg_sets), engine=engine
         ):
             profile, _ = cached_profile_runs(
-                program, entry, arg_sets,
-                record_calltree=record_calltree, max_cost=max_cost, cache=cache,
-                engine=engine,
+                program, entry, arg_sets, max_cost=max_cost, cache=cache, engine=engine
             )
         return analyze_profile(
             program, profile, hotspot_threshold=hotspot_threshold, min_pairs=min_pairs

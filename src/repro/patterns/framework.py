@@ -134,10 +134,6 @@ class AnalysisTrace:
     def rejected(self) -> list[Evidence]:
         return [ev for ev in self.evidence if not ev.accepted]
 
-    @property
-    def total_wall_time_s(self) -> float:
-        return sum(st.wall_time_s for st in self.stages)
-
 
 # ---------------------------------------------------------------------------
 # context: shared inputs + memoized artifacts

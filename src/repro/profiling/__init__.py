@@ -33,7 +33,7 @@ from repro.profiling.model import (
 )
 from repro.profiling.profiler import Profiler
 from repro.profiling.runner import profile_run, profile_runs
-from repro.profiling.hotspots import hotspot_regions, region_coverage
+from repro.profiling.hotspots import hotspot_regions
 from repro.profiling.cache import (
     ProfileCache,
     cached_profile_runs,
@@ -63,7 +63,6 @@ __all__ = [
     "profile_run",
     "profile_runs",
     "hotspot_regions",
-    "region_coverage",
     "canonical_profile_json",
     "load_profile",
     "profile_digest",

@@ -9,7 +9,8 @@ contents:
 * the program source text and the entry function name,
 * every argument set, canonically encoded (numpy arrays contribute dtype,
   shape, and raw bytes; scalars their ``repr``),
-* the profiler configuration (``record_calltree``, ``max_cost``), and
+* the profiler configuration (``max_cost``; every profile records its
+  call tree), and
 * the profile format and cache layout versions.
 
 Change any input and the key changes, so stale entries are simply never
@@ -104,7 +105,6 @@ def profile_cache_key(
     source: str,
     entry: str,
     arg_sets: Sequence[Sequence[Any]],
-    record_calltree: bool = True,
     max_cost: int = 500_000_000,
 ) -> str:
     """The content address for a profile of ``entry(*args)`` over *source*."""
@@ -113,7 +113,9 @@ def profile_cache_key(
     h.update(source.encode("utf-8"))
     h.update(b"\x00entry:")
     h.update(entry.encode("utf-8"))
-    h.update(f"\x00config:calltree={record_calltree}:max_cost={max_cost}".encode())
+    # Every profile records its call tree; ``calltree=True`` stays in the
+    # hashed text so existing entries and job digests keep their addresses.
+    h.update(f"\x00config:calltree=True:max_cost={max_cost}".encode())
     for args in arg_sets:
         h.update(b"\x00argset\x00")
         for arg in args:
@@ -383,7 +385,6 @@ def cached_profile_runs(
     program: Program,
     entry: str,
     arg_sets: Sequence[Sequence[Any]],
-    record_calltree: bool = True,
     max_cost: int = 500_000_000,
     cache: ProfileCache | None = None,
     engine: str = "compiled",
@@ -405,16 +406,12 @@ def cached_profile_runs(
         # Programs assembled via ProgramBuilder have no source text; their
         # AST repr is deterministic and serves as the content to hash.
         key = profile_cache_key(
-            program.source or repr(program), entry, arg_sets,
-            record_calltree=record_calltree, max_cost=max_cost,
+            program.source or repr(program), entry, arg_sets, max_cost=max_cost
         )
         profile = cache.load(key)
         if profile is not None:
             return profile, True
-    profile = profile_runs(
-        program, entry, arg_sets,
-        record_calltree=record_calltree, max_cost=max_cost, engine=engine,
-    )
+    profile = profile_runs(program, entry, arg_sets, max_cost=max_cost, engine=engine)
     if cache is not None:
         # The profile is already computed; an unwritable cache (read-only
         # dir, full disk) must not forfeit it.  Future calls recompute.

@@ -29,13 +29,6 @@ class Hotspot:
     pet_node_id: int
 
 
-def region_coverage(profile: Profile, region: int) -> float:
-    """Fraction of all executed instructions spent inside *region*."""
-    if profile.total_cost <= 0:
-        return 0.0
-    return profile.region_cost(region) / profile.total_cost
-
-
 def hotspot_regions(
     profile: Profile,
     program: Program | None = None,

@@ -129,11 +129,7 @@ def _flush(deps: dict, memo: list) -> None:
 class Profiler(Sink):
     """Sink that builds a :class:`Profile` from one interpreted run."""
 
-    def __init__(
-        self,
-        record_calltree: bool = True,
-        max_calltree_nodes: int = 500_000,
-    ) -> None:
+    def __init__(self, max_calltree_nodes: int = 500_000) -> None:
         self.profile = Profile()
         # context stacks (parallel lists)
         self._ids: list[int] = []
@@ -161,8 +157,7 @@ class Profiler(Sink):
         self._pet_stack: list[PETNode] = []
         # cost accounting
         self._act_costs: list[int] = []
-        # call tree
-        self._record_ct = record_calltree
+        # call tree (``max_calltree_nodes=0`` records none)
         self._max_ct = max_calltree_nodes
         self._ct_nodes = 0
         self._ct_stack: list[CallNode | None] = []
@@ -224,7 +219,7 @@ class Profiler(Sink):
         self._enter_pet(region, kind, line)
         # call tree
         node: CallNode | None = None
-        if self._record_ct and self._ct_nodes < self._max_ct:
+        if self._ct_nodes < self._max_ct:
             node = CallNode(
                 act_id=act,
                 region=region,

@@ -2,7 +2,9 @@
 
 ``profile_run`` executes one entry call and returns ``(Profile, RunResult)``;
 ``profile_runs`` executes several argument sets (the paper's "multiple
-representative inputs") and merges the profiles.
+representative inputs") and merges the profiles.  Every profile records
+its call tree; a profile without one comes only from a
+``Profiler(max_calltree_nodes=0)`` or a decoded dump that lacks it.
 
 Both accept an ``engine`` selector: ``"compiled"`` (default) lowers each
 function once into nested Python closures via
@@ -10,7 +12,9 @@ function once into nested Python closures via
 :class:`~repro.runtime.interpreter.Interpreter`.  The two engines emit the
 same event stream, so every profile field — and therefore the canonical
 profile digest — is identical between them; the tree walker is kept as the
-executable reference semantics and the compiled engine as the fast path.
+executable reference semantics that the tests and the benchmark's
+reference checks select, and the compiled engine is the path everything
+else runs.
 """
 
 from __future__ import annotations
@@ -38,12 +42,11 @@ def profile_run(
     program: Program,
     entry: str,
     args: Sequence[Any] = (),
-    record_calltree: bool = True,
     max_cost: int = 500_000_000,
     engine: str = "compiled",
 ) -> tuple[Profile, RunResult]:
     """Execute ``entry(*args)`` under instrumentation; return the profile."""
-    profiler = Profiler(record_calltree=record_calltree)
+    profiler = Profiler()
     eng = _make_engine(program, profiler, max_cost, engine)
     result = eng.run(entry, args)
     return profiler.profile, result
@@ -53,7 +56,6 @@ def profile_runs(
     program: Program,
     entry: str,
     arg_sets: Sequence[Sequence[Any]],
-    record_calltree: bool = True,
     max_cost: int = 500_000_000,
     engine: str = "compiled",
 ) -> Profile:
@@ -62,14 +64,7 @@ def profile_runs(
         raise ValueError("need at least one argument set")
     merged: Profile | None = None
     for args in arg_sets:
-        profile, _ = profile_run(
-            program,
-            entry,
-            args,
-            record_calltree=record_calltree,
-            max_cost=max_cost,
-            engine=engine,
-        )
+        profile, _ = profile_run(program, entry, args, max_cost=max_cost, engine=engine)
         merged = profile if merged is None else merged.merge(profile)
     assert merged is not None
     return merged

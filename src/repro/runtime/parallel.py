@@ -278,13 +278,8 @@ def analyze_one(
     return bench_outcome({"name": name}, cache, engine)
 
 
-def call_with_timeout(
-    analyze_fn: Callable[[str, str | None], BenchmarkOutcome],
-    name: str,
-    cache_dir: str | None,
-    timeout: float | None,
-) -> BenchmarkOutcome:
-    """Run ``analyze_fn(name, cache_dir)``, bounded by a SIGALRM timer.
+def call_with_timeout(call: Callable[[], Any], name: str, timeout: float | None) -> Any:
+    """Run ``call()``, bounded by a SIGALRM timer; *name* labels the timeout.
 
     The timer measures pure execution time (it starts only once the call is
     actually running — queue wait in a busy pool never counts) and fires as
@@ -302,7 +297,7 @@ def call_with_timeout(
         or not hasattr(signal, "SIGALRM")
         or threading.current_thread() is not threading.main_thread()
     ):
-        return analyze_fn(name, cache_dir)
+        return call()
 
     running = True
 
@@ -313,7 +308,7 @@ def call_with_timeout(
     previous = signal.signal(signal.SIGALRM, _on_alarm)
     signal.setitimer(signal.ITIMER_REAL, timeout, timeout)
     try:
-        return analyze_fn(name, cache_dir)
+        return call()
     finally:
         # Before any call: an alarm handled from here on must not raise.
         running = False
@@ -328,26 +323,25 @@ def default_max_workers(n_tasks: int) -> int:
 
 
 def run_one(
-    name: str,
-    cache_dir: str | None = None,
+    call: Callable[[], Any],
     *,
+    name: str,
     timeout: float | None = None,
     retries: int = 0,
     backoff: float = 0.5,
-    analyze_fn: Callable[[str, str | None], Any] = analyze_one,
     prior_attempts: int = 0,
     log: "JsonLogger | None" = None,
-) -> "BenchmarkOutcome | FailedOutcome | Any":
-    """Run one program under the fault policy: timeout, retry, failure record.
+) -> Any:
+    """Run one call under the fault policy: timeout, retry, failure record.
 
-    Runs ``analyze_fn(name, cache_dir)``, bounded per attempt by *timeout*,
-    and re-runs a failing attempt up to *retries* times, sleeping
-    ``backoff * 2**n`` seconds between attempts.  This is the only place
-    that policy lives: the sweep's pool workers and its serial path,
-    ``repro bench`` and every daemon job all run it.  Never raises: after
-    ``1 + retries`` attempts (counting *prior_attempts* already consumed,
-    e.g. by a broken pool) the exhausted exception comes back as a
-    structured :class:`FailedOutcome`.
+    Runs ``call()``, bounded per attempt by *timeout*, and re-runs a
+    failing attempt up to *retries* times, sleeping ``backoff * 2**n``
+    seconds between attempts.  This is the only place that policy lives:
+    the sweep's pool workers and its serial path, ``repro bench`` and every
+    daemon job all run it.  Never raises: after ``1 + retries`` attempts
+    (counting *prior_attempts* already consumed, e.g. by a broken pool)
+    the exhausted exception comes back as a structured
+    :class:`FailedOutcome` for *name*.
 
     *log* is an optional :class:`repro.obs.logs.JsonLogger` (typically
     already bound to a job/correlation id by the caller); each retry and
@@ -357,7 +351,7 @@ def run_one(
     while True:
         attempts += 1
         try:
-            return call_with_timeout(analyze_fn, name, cache_dir, timeout)
+            return call_with_timeout(call, name, timeout)
         except Exception as exc:
             if attempts <= retries:
                 if log is not None:
@@ -392,7 +386,6 @@ def analyze_registry(
     backoff: float = 0.5,
     fail_fast: bool = False,
     analyze_fn: Callable[[str, str | None], BenchmarkOutcome] = analyze_one,
-    engine: str = "compiled",
 ) -> list["BenchmarkOutcome | FailedOutcome"]:
     """Analyze registry benchmarks, optionally across worker processes.
 
@@ -400,16 +393,11 @@ def analyze_registry(
     whichever path runs.  ``parallel=False`` runs the identical per-program
     code in this process — the reference for equality testing.
 
-    *engine* selects the execution engine for the instrumented runs; a
-    non-default value is forwarded to *analyze_fn* as an ``engine`` keyword
-    (custom ``analyze_fn`` callables that never see a non-default engine
-    are unaffected).
-
-    Fault tolerance: every program runs under :func:`run_one`, in a pool
-    worker or in this process.  A program whose analysis raises or exceeds
-    *timeout* seconds occupies its result slot as a :class:`FailedOutcome`
-    after ``1 + retries`` attempts; the rest of the sweep is unaffected.
-    With ``fail_fast=True`` the sweep stops at the first exhausted failure
+    Fault tolerance: every program runs ``analyze_fn(name, cache_dir)``
+    under :func:`run_one`, in a pool worker or in this process.  A program
+    whose analysis raises or exceeds *timeout* seconds occupies its result
+    slot as a :class:`FailedOutcome` after ``1 + retries`` attempts; the
+    rest of the sweep is unaffected.  With ``fail_fast=True`` the sweep stops at the first exhausted failure
     and returns only the entries resolved by then (still in *names* order).
     If the pool itself breaks mid-sweep, every unresolved program is re-run
     in this process, counted as having used one attempt in the pool —
@@ -422,25 +410,19 @@ def analyze_registry(
         names = [spec.name for spec in all_benchmarks()]
     if not names:
         return []
-    if engine != "compiled":
-        analyze_fn = functools.partial(analyze_fn, engine=engine)
     # A functools.partial of top-level functions stays picklable, so the
     # whole per-program policy crosses the process-pool boundary intact.
-    run = functools.partial(
-        run_one,
-        cache_dir=cache_dir,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        analyze_fn=analyze_fn,
-    )
+    run = functools.partial(run_one, timeout=timeout, retries=retries, backoff=backoff)
+    calls = [functools.partial(analyze_fn, name, cache_dir) for name in names]
     results: dict[int, BenchmarkOutcome | FailedOutcome] = {}
     if parallel:
         if max_workers is None:
             max_workers = default_max_workers(len(names))
         pool = ProcessPoolExecutor(max_workers=max_workers)
         try:
-            futures = {pool.submit(run, name): i for i, name in enumerate(names)}
+            futures = {
+                pool.submit(run, calls[i], name=name): i for i, name in enumerate(names)
+            }
             for future in as_completed(futures):
                 i = futures[future]
                 try:
@@ -464,7 +446,7 @@ def analyze_registry(
             pool.shutdown(wait=False, cancel_futures=True)
     for i, name in enumerate(names):
         if i not in results:
-            results[i] = run(name)
+            results[i] = run(calls[i], name=name)
             if fail_fast and isinstance(results[i], FailedOutcome):
                 break
     return [results[i] for i in sorted(results)]

@@ -173,11 +173,11 @@ def execute_job(
     with activate(tracer):
         with tracer.span("job.run", kind=kind):
             return run_one(
-                name,
+                body,
+                name=name,
                 timeout=job_timeout,
                 retries=job_retries,
                 backoff=backoff,
-                analyze_fn=lambda _name, _cache_dir: body(),
                 log=log,
             )
 

@@ -96,19 +96,31 @@ def _max_depth(profile: Profile, region: int) -> int:
 Schedule = Callable[[Machine], list[SimOutcome]]
 
 
+def _fusion_chains(result: AnalysisResult) -> list[list[int]]:
+    """The fused loops, pairs that share a loop merged into one chain:
+    fusing (1, 2) and (2, 3) fuses loops 1, 2 and 3 into one loop."""
+    chains: list[list[int]] = []
+    for fusion in result.fusions:
+        chain = [fusion.loop_x, fusion.loop_y]
+        for other in [c for c in chains if set(c) & set(chain)]:
+            chains.remove(other)
+            chain = other + [r for r in chain if r not in other]
+        chains.append(chain)
+    return chains
+
+
 def _plan_fusion(result: AnalysisResult) -> Schedule:
     sf = result.profile.streaming_fraction
     fused: list[list[list[float]]] = []
-    for fusion in result.fusions:
-        xs = loop_invocation_costs(result.profile, fusion.loop_x)
-        ys = loop_invocation_costs(result.profile, fusion.loop_y)
+    for chain in _fusion_chains(result):
+        # The fused loop's iteration i runs iteration i of every loop in
+        # the chain; a longer loop's ragged tail runs on alone.
         combined: list[list[float]] = []
-        for cx, cy in zip(xs, ys):
-            n = min(len(cx), len(cy))
-            inv = [cx[i] + cy[i] for i in range(n)]
-            inv.extend(cx[n:])
-            inv.extend(cy[n:])
-            combined.append(inv)
+        for invs in zip(*(loop_invocation_costs(result.profile, r) for r in chain)):
+            n = max(len(costs) for costs in invs)
+            combined.append(
+                [sum(costs[i] for costs in invs if i < len(costs)) for i in range(n)]
+            )
         fused.append(combined)
     return lambda m: [simulate_doall(invs, m, streaming=sf) for invs in fused]
 
@@ -174,6 +186,15 @@ def _worker_barrier_loops(
     return workers, barriers
 
 
+def _fullest_lane(times: list[float], lanes: int) -> float:
+    """The fullest of *lanes* lanes after packing *times*, longest first,
+    each onto the least-loaded lane (the longest time when each has one)."""
+    loads = [0.0] * lanes
+    for t in sorted(times, reverse=True):
+        loads[loads.index(min(loads))] += t
+    return max(loads)
+
+
 def _plan_tasks(result: AnalysisResult) -> Schedule:
     tp = result.best_task_parallelism()
     assert tp is not None
@@ -183,8 +204,9 @@ def _plan_tasks(result: AnalysisResult) -> Schedule:
 
     split = _worker_barrier_loops(result, tp)
     if split is not None:
-        # Each round runs the workers' next invocations side by side
-        # (reduction loops pay their combine), then the barrier loops'.
+        # Each round runs the workers' next invocations side by side, as
+        # many at once as there are threads (reduction loops pay their
+        # combine), then the barrier loops'.
         workers = []
         for r in split[0]:
             lc = result.loop_classes.get(r)
@@ -206,14 +228,15 @@ def _plan_tasks(result: AnalysisResult) -> Schedule:
             serial = 0.0
             parallel = 0.0
             for t in range(n_rounds):
-                phase1 = 0.0
+                times = []
                 for invs, simulate in workers:
                     if t < len(invs):
                         sim = simulate(
                             [invs[t]], m, threads=per_worker_threads, streaming=sf
                         )
                         serial += sim.serial_time
-                        phase1 = max(phase1, sim.parallel_time)
+                        times.append(sim.parallel_time)
+                phase1 = _fullest_lane(times, threads)
                 phase2 = 0.0
                 for invs in barriers:
                     if t < len(invs):

@@ -19,7 +19,9 @@ The same analyses pin the simulation layer in ``sim_golden.json``: for
 each program, ``plan_and_simulate``'s label, hotspot share and speedup at
 every default thread count, and every ``rank_patterns`` option (label,
 best speedup, best threads, effort, lines touched), all compared exactly.
-A failing test prints the observed entry.
+A failing test prints the observed entry.  At one thread every pattern's
+schedule, primary and ranked, must run exactly as fast as the serial
+program.
 """
 
 import hashlib
@@ -67,6 +69,14 @@ def _assert_sim_pinned(section, key, result):
     assert observed == _SIM[section][key], json.dumps({key: observed}, sort_keys=True)
 
 
+def _assert_serial_at_one_thread(key, result):
+    primary = plan_and_simulate(result, thread_counts=(1,))
+    observed = [[primary.label, primary.best_speedup]] + [
+        [o.label, o.best_speedup] for o in rank_patterns(result, thread_counts=(1,))
+    ]
+    assert all(speedup == 1.0 for _, speedup in observed), json.dumps({key: observed})
+
+
 @pytest.fixture(
     scope="module",
     params=range(len(_CORPUS)),
@@ -98,3 +108,12 @@ def test_registry_sim(spec):
 
 def test_corpus_sim(corpus_case):
     _assert_sim_pinned("corpus", *corpus_case)
+
+
+@pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
+def test_registry_serial_at_one_thread(spec):
+    _assert_serial_at_one_thread(spec.name, analyze_benchmark(spec.name))
+
+
+def test_corpus_serial_at_one_thread(corpus_case):
+    _assert_serial_at_one_thread(*corpus_case)

@@ -56,9 +56,9 @@ def _compile(source: str):
 
 def _run_both(program, entry, args):
     """Run through both engines; return the two (RunResult, digest) pairs."""
-    prof_tree = Profiler(record_calltree=True)
+    prof_tree = Profiler()
     res_tree = Interpreter(program, sink=prof_tree).run(entry, args)
-    prof_comp = Profiler(record_calltree=True)
+    prof_comp = Profiler()
     res_comp = CompiledEngine(program, sink=prof_comp).run(entry, args)
     return (
         (res_tree, profile_digest(prof_tree.profile)),
@@ -408,40 +408,22 @@ def test_signal_handling_identical_across_engines(name):
 
 
 # ---------------------------------------------------------------------------
-# CLI parity: `detect --json` agrees byte-for-byte across --engine values
+# Document parity: `analyze(..., engine=)` agrees byte-for-byte across engines
 
 
-def test_cli_detect_json_identical_across_engines(tmp_path, capsys):
-    import json
-
-    from repro.cli import main
-    from repro.patterns.schema import strip_trace_timings
+def test_analysis_json_identical_across_engines():
+    from repro.patterns.engine import analyze
+    from repro.patterns.schema import analysis_to_dict, strip_trace_timings
     from repro.profiling.serialize import canonical_json
 
-    src = tmp_path / "kernel.c"
-    src.write_text(_SIGNAL_SOURCES["return_through_call"])
-    docs = {}
-    for engine in ("compiled", "tree"):
-        # separate cache roots so both engines really execute (profiles are
-        # engine-invariant, so a shared cache would hand the second engine
-        # the first one's profile)
-        cache = tmp_path / f"cache-{engine}"
-        rc = main(
-            [
-                "detect", str(src),
-                "--entry", "f", "--scalar", "9",
-                "--cache-dir", str(cache),
-                "--engine", engine,
-                "--json", "--compact",
-            ]
-        )
-        assert rc == 0
-        docs[engine] = json.loads(capsys.readouterr().out)
-    stripped = {
-        engine: canonical_json(strip_trace_timings(doc))
-        for engine, doc in docs.items()
-    }
-    assert stripped["compiled"] == stripped["tree"]
+    program = _compile(_SIGNAL_SOURCES["return_through_call"])
+
+    def document(engine):
+        # no cache, so both engines really execute
+        result = analyze(program, "f", [[9]], engine=engine)
+        return canonical_json(strip_trace_timings(analysis_to_dict(result)))
+
+    assert document("compiled") == document("tree")
 
 
 def test_run_compiled_matches_interpreter_without_sink():

@@ -94,8 +94,8 @@ class TestColdWarmServiceIdentity:
 
 class TestLearnArtifactDeterminism:
     """The learned baseline inherits the same contract: features and model
-    artifacts are byte-identical across repeated runs, across the compiled
-    and tree engines, and across serial vs ``--parallel`` extraction."""
+    artifacts are byte-identical across repeated runs and across serial vs
+    ``--parallel`` extraction."""
 
     @pytest.fixture(scope="class")
     def suite(self, tmp_path_factory):
@@ -105,26 +105,19 @@ class TestLearnArtifactDeterminism:
         generate_corpus(12, 9, out, adversarial=True)
         return load_corpus(out)
 
-    def test_features_byte_identical_across_runs_engines_parallelism(
-        self, suite
-    ):
+    def test_features_byte_identical_across_runs_and_parallelism(self, suite):
         from repro.learn import corpus_features
 
         baseline = canonical_json(corpus_features(suite))
         assert canonical_json(corpus_features(suite)) == baseline
-        assert canonical_json(corpus_features(suite, engine="tree")) == baseline
         assert canonical_json(corpus_features(suite, parallel=True)) == baseline
 
-    def test_model_artifact_byte_identical_across_runs_and_engines(
-        self, suite
-    ):
+    def test_model_artifact_byte_identical_across_runs_and_parallelism(self, suite):
         from repro.learn import train_on_corpus
 
         for kind in ("logistic", "tree"):
             baseline = train_on_corpus(suite, kind=kind, seed=5).to_json()
             again = train_on_corpus(suite, kind=kind, seed=5).to_json()
-            tree_engine = train_on_corpus(
-                suite, kind=kind, seed=5, engine="tree", parallel=True
-            ).to_json()
+            parallel = train_on_corpus(suite, kind=kind, seed=5, parallel=True).to_json()
             assert again == baseline
-            assert tree_engine == baseline
+            assert parallel == baseline

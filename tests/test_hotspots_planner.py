@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.patterns.engine import analyze
-from repro.profiling import hotspot_regions, profile_run, region_coverage
+from repro.patterns.engine import analyze, region_share
+from repro.profiling import hotspot_regions, profile_run
 from repro.sim import plan_and_simulate, sweep_pattern
 from repro.sim.planner import loop_invocation_costs, pipeline_co_invocations
 
@@ -41,7 +41,7 @@ void f(float A[], int n) {
     def test_region_coverage_fraction(self, reduction_program):
         profile, _ = profile_run(reduction_program, "total", [np.ones(16), 16])
         region = reduction_program.function("total").region_id
-        assert 0.9 < region_coverage(profile, region) <= 1.0
+        assert 0.9 < region_share(profile, [region]) <= 1.0
 
     def test_empty_profile_has_no_hotspots(self):
         from repro.profiling.model import Profile

@@ -3,12 +3,7 @@
 import io
 import json
 
-from repro.obs.logs import (
-    JsonLogger,
-    configure_logging,
-    get_logger,
-    new_correlation_id,
-)
+from repro.obs.logs import JsonLogger, new_correlation_id
 
 
 def _records(stream):
@@ -98,22 +93,6 @@ class TestSinks:
         root = JsonLogger(path=str(tmp_path / "no" / "dir" / "x.jsonl"))
         root.bind(k=1).info("lost")
         assert root.errors == 1
-
-
-class TestProcessLogger:
-    def test_default_is_null_sink(self):
-        assert get_logger().active is False
-
-    def test_configure_and_reset(self):
-        stream = io.StringIO()
-        try:
-            log = configure_logging(stream=stream)
-            assert get_logger() is log
-            get_logger().info("configured")
-            assert _records(stream)[0]["event"] == "configured"
-        finally:
-            configure_logging()
-        assert get_logger().active is False
 
 
 class TestCorrelationIds:

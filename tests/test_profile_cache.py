@@ -65,8 +65,16 @@ class TestCacheKey:
 
     def test_changed_config_changes_key(self, args):
         base = profile_cache_key(SRC, "total", args)
-        assert base != profile_cache_key(SRC, "total", args, record_calltree=False)
         assert base != profile_cache_key(SRC, "total", args, max_cost=1_000)
+
+    def test_key_is_pinned(self, args):
+        # A moved key orphans every cache entry and every source-job digest.
+        assert profile_cache_key(SRC, "total", args) == (
+            "1bdb83ab0a1148e08cbb9ca9016f618a6d54749fd4d98e220514ebeb95954969"
+        )
+        assert profile_cache_key(SRC, "total", args, max_cost=1_000) == (
+            "96c997072be3a93b27f05bccbea8b9ba0811275c40e8cb399e75e04f3b4c4e49"
+        )
 
     def test_int_float_args_distinct(self):
         assert profile_cache_key(SRC, "total", [[1]]) != profile_cache_key(
@@ -101,7 +109,7 @@ class TestCachedRuns:
     def test_changed_config_misses(self, program, args, cache):
         cached_profile_runs(program, "total", args, cache=cache)
         _, hit = cached_profile_runs(
-            program, "total", args, record_calltree=False, cache=cache
+            program, "total", args, max_cost=1_000_000, cache=cache
         )
         assert not hit
 

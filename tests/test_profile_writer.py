@@ -120,7 +120,9 @@ int depth(int n) {
 
 
 def test_profile_without_a_call_tree():
-    profile = profile_runs(compile_source(FIB), "fib", [[8]], record_calltree=False)
+    profiler = Profiler(max_calltree_nodes=0)
+    CompiledEngine(compile_source(FIB), sink=profiler).run("fib", [8])
+    profile = profiler.profile
     assert profile.calltree is None
     _assert_matches_oracle(profile)
 

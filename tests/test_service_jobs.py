@@ -206,6 +206,11 @@ class TestJobDigest:
             "source", {**base, "threshold": 0.5}
         )
 
+    def test_source_digest_is_pinned(self):
+        assert job_digest("source", _source_payload()) == (
+            "c63fc13283d0ebdc9632a727b4c790b3e317e2a5d7c1bfc450703c7ea92cd3ec"
+        )
+
     def test_malformed_args_raise_at_digest_time(self):
         with pytest.raises(ValueError, match="unknown argument kind"):
             job_digest("source", {**_source_payload(), "args": [["ones", "A:4"]]})

@@ -72,7 +72,9 @@ void f(float A[], int n) {
 
     def test_calltree_disabled(self):
         prog = parse_program(self.SRC)
-        profile, _ = profile_run(prog, "f", [np.zeros(4), 4], record_calltree=False)
+        profiler = Profiler(max_calltree_nodes=0)
+        Interpreter(prog, sink=profiler).run("f", [np.zeros(4), 4])
+        profile = profiler.profile
         assert profile.calltree is None
         # everything else still works
         assert profile.deps
@@ -106,7 +108,9 @@ class TestMergeErrors:
 
     def test_merge_with_empty_calltree(self):
         p1 = parse_program("int a() { return 1; }")
-        prof1, _ = profile_run(p1, "a", [], record_calltree=False)
+        profiler = Profiler(max_calltree_nodes=0)
+        Interpreter(p1, sink=profiler).run("a", [])
+        prof1 = profiler.profile
         prof2, _ = profile_run(p1, "a", [])
         merged = prof1.merge(prof2)
         assert merged.calltree is not None
