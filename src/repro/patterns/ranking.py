@@ -160,10 +160,19 @@ def _intra_pipeline_option(
 
 def rank_patterns(
     result: AnalysisResult,
-    thread_counts: Sequence[int] = (1, 2, 4, 8, 16, 32),
+    thread_counts: Sequence[int] | None = None,
 ) -> list[PatternOption]:
-    """All applicable patterns, ranked by benefit per unit of effort."""
+    """All applicable patterns, ranked by benefit per unit of effort.
+
+    *thread_counts* defaults to ``DEFAULT_THREAD_COUNTS``, the counts
+    ``plan_and_simulate`` sweeps, so the primary label's option reads the
+    primary sweep's best.
+    """
     from repro.sim.planner import sweep_pattern
+    from repro.sim.sweep import DEFAULT_THREAD_COUNTS
+
+    if thread_counts is None:
+        thread_counts = DEFAULT_THREAD_COUNTS
 
     options: list[PatternOption] = []
     intra = _intra_pipeline_option(result, thread_counts)

@@ -41,6 +41,30 @@ class DepKey(NamedTuple):
     dst_site: int
 
 
+def _dep_sort_key(key: DepKey) -> tuple:
+    # `carrier` is None for loop-independent edges; map it below any real
+    # region id so mixed edges order deterministically.
+    return (
+        key.kind,
+        key.var,
+        key.region,
+        -1 if key.carrier is None else key.carrier,
+        key.src_line,
+        key.dst_line,
+        key.src_site,
+        key.dst_site,
+    )
+
+
+def sorted_deps(deps: dict[DepKey, int]) -> dict[DepKey, int]:
+    """*deps* in ``_dep_sort_key`` order, the order a decoded profile has.
+
+    Detectors insert edges in ``deps`` iteration order, so a live profile
+    must iterate as one read back from the cache does.
+    """
+    return {key: deps[key] for key in sorted(deps, key=_dep_sort_key)}
+
+
 def _preorder(root: PETNode | CallNode) -> Iterator:
     """*root*, then each child's subtree in order.
 
@@ -224,9 +248,10 @@ class Profile:
         """Merge *other* into a new Profile (both unmodified)."""
         out = Profile(runs=self.runs + other.runs)
         out.total_cost = self.total_cost + other.total_cost
-        out.deps = dict(self.deps)
+        deps = dict(self.deps)
         for key, count in other.deps.items():
-            out.deps[key] = out.deps.get(key, 0) + count
+            deps[key] = deps.get(key, 0) + count
+        out.deps = sorted_deps(deps)
         for attr in ("loop_var_writes", "loop_var_reads"):
             merged: dict[tuple[int, str], set[int]] = {
                 k: set(v) for k, v in getattr(self, attr).items()

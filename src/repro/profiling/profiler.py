@@ -10,13 +10,15 @@ shadow-memory sweep:
   the source line of the statement currently executing at that level (its
   *site*).  Sites are what summarize nested work to call sites when
   dependences are lifted to a region's CU graph.
-* **Shadow memory** — last writer and last reader per address.  Each access
-  is compared against the shadow entry to emit RAW/WAR/WAW dependences,
-  attributed to the deepest common activation and classified as carried or
-  independent there.
-* **Privatization** — per loop iteration, the first access to each address
-  is tracked; a ``(loop, var)`` that is ever read before written in an
-  iteration is marked ``read_first`` (not privatizable).
+* **Shadow memory** — one record per address: the context and site of its
+  last write and of its last read.  Each access is compared against the
+  record to emit RAW/WAR/WAW dependences, attributed to the deepest common
+  activation and classified as carried or independent there.
+* **Privatization** — a ``(loop, var)`` that is ever read before written in
+  an iteration is marked ``read_first`` (not privatizable).  The shadow
+  record answers it: a read is its iteration's first touch at a loop level
+  unless the address's last write or last read happened in that level's
+  current iteration.
 * **Multi-loop pairs** — a RAW dependence whose endpoints sit in *different
   sibling loops* contributes an ``(i_x, i_y)`` iteration pair: the last
   write iteration of loop *x* and the first read iteration of loop *y* for
@@ -35,51 +37,68 @@ loop with all per-event state hoisted into locals.  Access events carry
 ``(tag, addr, sid)`` where ``sid`` indexes the program's static
 :class:`~repro.runtime.sites.SiteTable`.
 
+The context stack lives in one immutable snapshot, four tuples (activation
+ids, iterations, site lines, static regions), which shadow records share
+rather than copy.  An iteration or statement event rebuilds the snapshot; a
+region entry extends it and saves the parent's, and the exit restores that
+saved snapshot, so an access recorded before an inner loop still holds the
+very snapshot that is current after it.  A shadow record is a four-slot
+list ``[write ctx, write sid, read ctx, read sid]`` updated in place: one
+dict lookup per access and no tuple per access.
+
 Derivation memos
 ----------------
-Deriving a dependence from a shadow entry means scanning two context stacks
-for their divergence point, classifying the carrier, and building an
+Deriving a dependence from a shadow record means scanning two context
+stacks for their divergence point, classifying the carrier, and building an
 aggregation key — per access.  But inside a loop the stream is massively
-repetitive: consecutive accesses at one site hit shadow entries written by
-the *same* site under the *same* pair of activation stacks.  Every exact
-derivation therefore leaves a **derivation memo**, keyed by the dependence
-kind and the (current sid, shadow sid) pair: the divergence level, the site
-lines expected there, the pre-built aggregation keys for the carried and
-independent variants, the running counts, and the multi-loop pair recipe.
-RAW, WAR and WAW share one memo-hit path and one derivation function.  While
-a memo matches, recording a dependence is a carried/independent check and a
-counter bump; anything else — a different writer site, a rebuilt context, a
-changed site line at the divergence level — takes the exact derivation,
-which revalidates or replaces the memo.  Memo counts are folded into the
-aggregated dependence table when a memo is replaced and at :meth:`finish`,
-so the result is **exactly** the per-access table, event for event
-(``tests/test_profiler_reference.py`` checks it against a plain per-access
-fold); only the work is collapsed.  Memos come in two families:
+repetitive: consecutive accesses at one site hit shadow records written by
+the *same* site with the two stacks diverging at the *same* level.  Every
+exact derivation therefore leaves a **derivation memo**, keyed by the
+dependence kind and the (current sid, shadow sid) pair: the divergence
+level, the static region and the site lines expected there, the pre-built
+aggregation keys for the carried and independent variants, the running
+counts, and the multi-loop pair recipe.  RAW, WAR and WAW share one
+memo-hit path and one derivation function.  While a memo holds, recording a
+dependence is a carried/independent check and a counter bump; otherwise the
+exact derivation revalidates or replaces the memo.  Memo counts are folded
+into the aggregated dependence table when a memo is replaced and at
+:meth:`finish`, so the result is **exactly** the per-access table, event
+for event (``tests/test_profiler_reference.py`` checks it against a plain
+per-access fold); only the work is collapsed.  :attr:`Profiler.derivations`
+counts the exact derivations.  Memos come in two families:
 
 * **Same-stack memos** cover dependences whose endpoints share the whole
-  activation stack (the shadow entry's activation-id snapshot *is* the
-  current one) — the dominant case: in-loop affine accesses and
-  recursion-local cells.  Divergence is at the innermost level, no pair can
-  arise, and the memo references no snapshot, so it stays valid across the
-  activation churn of recursive programs.
-* **Cross-stack memos** hold the two snapshots they were derived under,
-  compared by object identity: snapshots are immutable and rebuilt on
-  region transitions, and the memo holds strong references so an id can
-  never be recycled.
+  activation stack (the record's snapshot *is* the current one) — the
+  dominant case: in-loop affine accesses and recursion-local cells.
+  Divergence is at the innermost level, no pair can arise, and the site
+  lines there are all a memo checks.
+* **Cross-stack memos** are checked by their level *m*, not by snapshot:
+  a memo holds while both stacks are deeper than *m*, share the activation
+  at *m* (activation ids are unique, so they share every level above it)
+  and differ at *m + 1* or one ends there, the static region and both site
+  lines at *m* are the memo's, and, for RAW, the static regions at *m + 1*
+  are the ones its pair recipe was built from.  The pair's reader
+  activation is read from the live stack at each hit.  So a memo outlives
+  the activations it was derived under: the next inner loop, call or
+  outer iteration keeps it.
 
-First-touch bookkeeping gets the same treatment: once a ``(loop, var)`` is
-marked ``read_first`` at every live loop level, further marks are no-ops,
-and for alias-free programs (see ``repro.runtime.sites``) the per-iteration
-first-touch walk for that variable can be skipped wholesale.  Write sites
-of variables the program never reads skip it too — their walk exists only
-to suppress read marks that can never come.
+First touch
+-----------
+The per-loop access tables (``loop_accessed``, ``loop_var_reads``,
+``loop_var_writes``) depend only on the live loop regions and the site, so
+they update once per site per tuple of live loop regions; that tuple keys
+the first-touch cache, which survives loop exits and re-entries.  The same
+entry lists, for a read site, the loop levels whose ``read_first`` mark
+its variable still lacks; the privatization walk visits only those, and a
+site whose variable is marked at every live level does no walk at all.  A
+write does no privatization work: its record is what later reads check.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.profiling.model import RAW, WAR, WAW, CallNode, DepKey, PETNode, Profile
+from repro.profiling.model import RAW, WAR, WAW, CallNode, DepKey, PETNode, Profile, sorted_deps
 from repro.runtime.events import (
     EV_COST,
     EV_ENTER_FUNC,
@@ -111,11 +130,13 @@ _KEYM = 1 << 20
 #   3  accesses counted as carried
 #   4  expected source site line at the level
 #   5  expected sink site line at the level
-#   6  source activation-id snapshot (None in same-stack memos)
-#   7  sink activation-id snapshot (None in same-stack memos)
-#   8  the level: the deepest common activation's index, -1 (innermost)
+#   6  the level: the deepest common activation's index, -1 (innermost)
 #      in same-stack memos
-#   9  multi-loop pair recipe (w_static, d, r_act, pair_key) or None
+#   7  the static region at the level
+#   8  multi-loop pair key (writer loop, reader loop) or None
+#   9  in cross-stack RAW memos, the static regions one level deeper that
+#      the recipe was built from (writer's, reader's; None where a stack
+#      ends there); None otherwise
 
 
 def _flush(deps: dict, memo: list) -> None:
@@ -131,18 +152,27 @@ class Profiler(Sink):
 
     def __init__(self, max_calltree_nodes: int = 500_000) -> None:
         self.profile = Profile()
-        # context stacks (parallel lists)
-        self._ids: list[int] = []
-        self._statics: list[int] = []
-        self._kinds: list[str] = []
-        self._iters: list[int] = []
-        self._sites: list[int] = []
-        self._act_info: dict[int, tuple[int, str]] = {}
-        # privatization: per-level set of addresses touched this iteration
-        self._seen: list[set[int] | None] = []
-        # shadow memory: addr -> ((ids, iters, sites), sid)
-        self._last_write: dict[int, tuple] = {}
-        self._last_read: dict[int, tuple] = {}
+        # the context snapshot: (activation ids, iterations, site lines,
+        # static regions), one tuple each, innermost level last; shadow
+        # records share it, and _exit restores the parent's
+        self._ctx: tuple = ((), (), (), ())
+        # stack indices of the loop levels, innermost first
+        self._loops: tuple[int, ...] = ()
+        # the live loop regions, outermost first: the first-touch key
+        self._loop_key: tuple[int, ...] = ()
+        # per-sid first-touch state under the live loop regions: the loop
+        # levels a read at the sid may still mark read-first, as (position
+        # in _loops, read-first key) pairs, innermost first (empty for a
+        # write).  A missing sid is a first touch.
+        self._ft_todo: dict[int, tuple] = {}
+        self._ft_cache: dict[tuple[int, ...], dict[int, tuple]] = {(): self._ft_todo}
+        # the parents' (ctx, loops, loop_key, ft_todo), restored on exit
+        self._saved: list[tuple] = []
+        # static region -> "function" | "loop"
+        self._region_kinds: dict[int, str] = {}
+        # shadow memory: addr -> [write ctx, write sid, read ctx, read sid]
+        # (None / -1 until the first such access), updated in place
+        self._shadow: dict[int, list] = {}
         # pair first-read bookkeeping: (reader_act, writer_loop, addr)
         self._pair_seen: set[tuple[int, int, int]] = set()
         # aggregated dependences under compact (kind, psid, sid, region,
@@ -150,8 +180,11 @@ class Profiler(Sink):
         # records once at finish()
         self._deps_raw: dict[tuple, int] = {}
         # derivation memos: cross-stack RAW/WAW/WAR, then same-stack
-        # RAW/WAW/WAR (finish() flushes them in this order)
+        # RAW/WAW/WAR
         self._memos: tuple[dict[int, list], ...] = ({}, {}, {}, {}, {}, {})
+        #: exact derivations made (memo misses); a fold that stops hitting
+        #: its memos shows here before it shows in wall clock
+        self.derivations = 0
         # PET
         self._pet_counter = 0
         self._pet_stack: list[PETNode] = []
@@ -164,24 +197,6 @@ class Profiler(Sink):
         self._iter_marks: list[int] = []
         # loop trip accumulation: static loop -> [invocations, total, max]
         self._trips: dict[int, list[int]] = {}
-        # working-set tracking (array traffic only — scalars stay in cache)
-        self._array_addrs: set[int] = set()
-        # cached immutable snapshots of the context stacks (hot path:
-        # rebuilding them per mutation beats tuple() per memory event);
-        # _ctx bundles them so shadow entries share one triple per state
-        self._ids_t: tuple[int, ...] = ()
-        self._iters_t: tuple[int, ...] = ()
-        self._sites_t: tuple[int, ...] = ()
-        self._ctx: tuple = ((), (), ())
-        # indices of the loop levels within the stacks (skips function
-        # levels in the per-event first-touch sweep)
-        self._loop_idx: list[int] = []
-        # per-sid first-touch verdicts for the current loop stack: True =
-        # walk normally, False = walk provably a no-op.  A sid missing from
-        # the dict doubles as "first touch under this loop stack": the miss
-        # path updates the loop access tables before deciding, so one
-        # lookup serves both jobs.  Cleared on loop entry/exit.
-        self._ft_walk: dict[int, bool] = {}
         # an empty table until an engine announces the program's own
         self.set_site_table(SiteTable())
 
@@ -189,31 +204,22 @@ class Profiler(Sink):
         self._s_lines = table.lines
         self._s_vars = table.vars
         self._s_elems = table.elements
-        self._af = table.alias_free
-        self._vars_with_reads = {
-            var for var, write in zip(table.vars, table.writes) if not write
-        }
 
     # ------------------------------------------------------------------
     # region transitions
     # ------------------------------------------------------------------
 
     def _enter(self, region: int, act: int, kind: str, line: int) -> None:
-        parent_site = self._sites[-1] if self._sites else line
-        self._ids.append(act)
-        self._statics.append(region)
-        self._kinds.append(kind)
-        self._iters.append(_NO_ITER)
-        self._sites.append(line)
-        self._act_info[act] = (region, kind)
-        self._seen.append(set() if kind == "loop" else None)
+        ctx = self._ctx
+        ids, iters, sites, statics = ctx
+        parent_site = sites[-1] if sites else line
+        self._saved.append((ctx, self._loops, self._loop_key, self._ft_todo))
+        self._ctx = (ids + (act,), iters + (_NO_ITER,), sites + (line,), statics + (region,))
+        self._region_kinds[region] = kind
         if kind == "loop":
-            self._loop_idx.append(len(self._kinds) - 1)
-            self._ft_walk.clear()
-        self._ids_t = tuple(self._ids)
-        self._iters_t = tuple(self._iters)
-        self._sites_t = tuple(self._sites)
-        self._ctx = (self._ids_t, self._iters_t, self._sites_t)
+            self._loops = (len(ids),) + self._loops
+            self._loop_key = key = self._loop_key + (region,)
+            self._ft_todo = self._ft_cache.setdefault(key, {})
         self._act_costs.append(0)
         self._iter_marks.append(0)
         self._enter_pet(region, kind, line)
@@ -265,19 +271,9 @@ class Profiler(Sink):
 
     def _exit(self, trip_count: int | None = None) -> None:
         inclusive = self._act_costs.pop()
-        static = self._statics.pop()
-        self._ids.pop()
-        kind = self._kinds.pop()
-        self._iters.pop()
-        self._sites.pop()
-        self._seen.pop()
-        if kind == "loop":
-            self._loop_idx.pop()
-            self._ft_walk.clear()
-        self._ids_t = tuple(self._ids)
-        self._iters_t = tuple(self._iters)
-        self._sites_t = tuple(self._sites)
-        self._ctx = (self._ids_t, self._iters_t, self._sites_t)
+        static = self._ctx[3][-1]
+        kind = self._region_kinds[static]
+        self._ctx, self._loops, self._loop_key, self._ft_todo = self._saved.pop()
         self._iter_marks.pop()
         pet_node = self._pet_stack.pop()
         ct_node = self._ct_stack.pop()
@@ -296,7 +292,8 @@ class Profiler(Sink):
             acc[2] = max(acc[2], trip_count)
         if self._act_costs:
             self._act_costs[-1] += inclusive
-            key = (self._statics[-1], self._sites[-1])
+            _, _, sites, statics = self._ctx
+            key = (statics[-1], sites[-1])
             self.profile.site_costs[key] = self.profile.site_costs.get(key, 0) + inclusive
 
     # ------------------------------------------------------------------
@@ -311,53 +308,48 @@ class Profiler(Sink):
         derivation (see "Derivation memos" in the module docstring).
         """
         profile = self.profile
-        last_write = self._last_write
-        last_read = self._last_read
+        shadow = self._shadow
         pair_seen = self._pair_seen
         pairs = profile.pairs
         loop_accessed = profile.loop_accessed
         loop_var_reads = profile.loop_var_reads
         loop_var_writes = profile.loop_var_writes
         read_first = profile.read_first
-        ft_walk = self._ft_walk
-        af = self._af
-        vars_with_reads = self._vars_with_reads
         line_costs = profile.line_costs
         site_costs = profile.site_costs
-        array_addrs = self._array_addrs
-        statics = self._statics
-        seen = self._seen
-        loop_idx = self._loop_idx
-        iters = self._iters
-        sites = self._sites
         act_costs = self._act_costs
         pet_stack = self._pet_stack
         ct_stack = self._ct_stack
         iter_marks = self._iter_marks
+        region_kinds = self._region_kinds
         s_lines = self._s_lines
         s_vars = self._s_vars
         s_elems = self._s_elems
         deps = self._deps_raw
-        act_info = self._act_info
         x_raw, x_waw, x_war, s_raw, s_waw, s_war = self._memos
-        # the dependence checks an access makes, in order: (shadow map,
-        # kind, same-stack memos, cross-stack memos)
-        read_checks = ((last_write, RAW, s_raw, x_raw),)
-        write_checks = ((last_write, WAW, s_waw, x_waw), (last_read, WAR, s_war, x_war))
-        ids_t = self._ids_t
-        # ids_t when a shadow entry made under it shares the whole stack
-        # (the empty stack shares nothing)
-        same_ids = ids_t or None
-        iters_t = self._iters_t
-        sites_t = self._sites_t
-        ctx = self._ctx
+        # the dependence checks an access makes, in order: (index of the
+        # shadow record's context, kind, same-stack memos, cross-stack
+        # memos); a read checks the last write, a write the last write
+        # and then the last read
+        read_checks = ((0, RAW, s_raw, x_raw),)
+        write_checks = ((0, WAW, s_waw, x_waw), (2, WAR, s_war, x_war))
         # per-activation state that only changes on region transitions,
         # plus plain-integer accumulators written back once per batch
-        cur_static = statics[-1] if statics else -1
+        ctx = self._ctx
+        ids_t, iters_t, sites_t, statics_t = ctx
+        n_ids = len(ids_t)
+        # ids_t when a shadow record made under it shares the whole stack
+        # (the empty stack shares nothing)
+        same_ids = ids_t or None
+        loops = self._loops
+        ft_todo = self._ft_todo
+        cur_static = statics_t[-1] if statics_t else -1
         pet_top = pet_stack[-1] if pet_stack else None
         ct_top = ct_stack[-1] if ct_stack else None
         total_cost = profile.total_cost
         arr_n = profile.array_accesses
+        arr_addrs = profile.unique_array_addresses
+        derivations = self.derivations
         keym = _KEYM
 
         def derive(
@@ -368,30 +360,32 @@ class Profiler(Sink):
             # two stacks share no activation (no dependence).  A closure, so
             # the recursion-heavy programs that miss often pay no attribute
             # traffic for it.
+            nonlocal derivations
+            derivations += 1
             p_ids = p_ctx[0]
-            pair = None
+            pair = statics = None
             if p_ids is same_ids:
                 memos = same
                 m = -1
-                p_snap = c_snap = None
             else:
                 memos = cross
-                limit = min(len(p_ids), len(ids_t))
+                n_p = len(p_ids)
+                limit = min(n_p, n_ids)
                 d = 0
                 while d < limit and p_ids[d] == ids_t[d]:
                     d += 1
                 if d == 0:
                     return None
                 m = d - 1
-                p_snap = p_ids
-                c_snap = ids_t
-                if kind == RAW and d < len(p_ids) and d < len(ids_t):
-                    w_static, w_kind = act_info[p_ids[d]]
-                    r_static, r_kind = act_info[ids_t[d]]
-                    if w_kind == "loop" and r_kind == "loop" and w_static != r_static:
-                        pair = (w_static, d, ids_t[d], (w_static, r_static))
-            region, region_kind = act_info[p_ids[m]]
-            is_loop = region_kind == "loop"
+                if kind == RAW:
+                    w_static = p_ctx[3][d] if d < n_p else None
+                    r_static = statics_t[d] if d < n_ids else None
+                    statics = (w_static, r_static)
+                    if w_static != r_static and (
+                        region_kinds.get(w_static) == region_kinds.get(r_static) == "loop"
+                    ):
+                        pair = statics
+            region = statics_t[m]
             psm = p_ctx[2][m]
             csm = sites_t[m]
             # function levels never iterate (their iteration stays -1), so
@@ -400,29 +394,24 @@ class Profiler(Sink):
             cim = iters_t[m]
             carried = pim != cim and pim != -1 and cim != -1
             old = memos.get(key)
-            if (
-                old is not None
-                and old[4] == psm
-                and old[5] == csm
-                and old[0][3] == region
-            ):
-                # Same derived dependence — only the stack snapshots aged
-                # (an inner loop re-entered, a call returned and repeated,
-                # or the recursion depth shifted: the divergence level is
-                # not part of the aggregation key).  Refresh the snapshots,
-                # level and pair recipe; keep the keys and counts.
+            if old is not None and old[4] == psm and old[5] == csm and old[7] == region:
+                # Same derived dependence at another level or beside other
+                # regions (recursion moved the level, or another loop
+                # holds the pair): refresh the level and pair recipe, keep
+                # the keys and counts.
                 memo = old
-                memo[6] = p_snap
-                memo[7] = c_snap
-                memo[8] = m
-                memo[9] = pair
+                memo[6] = m
+                memo[8] = pair
+                memo[9] = statics
             else:
                 if old is not None:
                     _flush(deps, old)
                 memo = [
                     (kind, psid, sid, region, None, psm, csm),
-                    (kind, psid, sid, region, region, psm, csm) if is_loop else None,
-                    0, 0, psm, csm, p_snap, c_snap, m, pair,
+                    (kind, psid, sid, region, region, psm, csm)
+                    if region_kinds[region] == "loop"
+                    else None,
+                    0, 0, psm, csm, m, region, pair, statics,
                 ]
                 memos[key] = memo
             if carried:
@@ -437,93 +426,134 @@ class Profiler(Sink):
                 addr = ev[1]
                 sid = ev[2]
                 is_read = tag == EV_READ
+                rec = shadow.get(addr)
                 if s_elems[sid]:
-                    array_addrs.add(addr)
                     arr_n += 1
-                for shadow, kind, same, cross in read_checks if is_read else write_checks:
-                    prev = shadow.get(addr)
-                    if prev is None:
-                        continue
-                    p_ctx, psid = prev
-                    p_ids = p_ctx[0]
-                    key = sid * keym + psid
-                    if p_ids is same_ids:
-                        memo = same.get(key)
-                    else:
-                        memo = cross.get(key)
-                        if memo is not None and (memo[6] is not p_ids or memo[7] is not ids_t):
-                            memo = None
-                    if memo is not None:
-                        m = memo[8]
-                        if p_ctx[2][m] != memo[4] or sites_t[m] != memo[5]:
-                            memo = None
-                    if memo is None:
-                        memo = derive(kind, p_ctx, psid, sid, same, cross, key)
-                        if memo is None:
-                            continue  # the stacks share no activation
-                    else:
-                        pim = p_ctx[1][m]
-                        cim = iters_t[m]
-                        if pim != cim and pim != -1 and cim != -1:
-                            memo[3] += 1
-                        else:
-                            memo[2] += 1
-                    if memo[9] is not None:
-                        # a RAW between sibling loops: the first read of each
-                        # address per reader activation yields an (i_x, i_y)
-                        w_static, d, r_act, pair_key = memo[9]
-                        ix = p_ctx[1][d]
-                        iy = iters_t[d]
-                        if ix != -1 and iy != -1:
-                            skey = (r_act, w_static, addr)
-                            if skey not in pair_seen:
-                                pair_seen.add(skey)
-                                lst = pairs.get(pair_key)
-                                if lst is None:
-                                    pairs[pair_key] = [(ix, iy)]
-                                else:
-                                    lst.append((ix, iy))
-                if is_read:
-                    last_read[addr] = (ctx, sid)
+                    if rec is None:
+                        # element addresses never alias scalar cells, so
+                        # an element site makes each one's record
+                        arr_addrs += 1
+                if rec is None:
+                    w_ctx = r_ctx = None
+                    shadow[addr] = [None, -1, ctx, sid] if is_read else [ctx, sid, None, -1]
                 else:
-                    last_write[addr] = (ctx, sid)
-                walk = ft_walk.get(sid)
-                if walk is None:
-                    # first touch of this sid under the current loop stack:
-                    # update the loop access tables, then decide the walk
+                    for j, kind, same, cross in read_checks if is_read else write_checks:
+                        p_ctx = rec[j]
+                        if p_ctx is None:
+                            continue
+                        psid = rec[j + 1]
+                        p_ids = p_ctx[0]
+                        key = sid * keym + psid
+                        if p_ids is same_ids:
+                            m = -1
+                            memo = same.get(key)
+                            if memo is not None and (
+                                p_ctx[2][-1] != memo[4] or sites_t[-1] != memo[5]
+                            ):
+                                memo = None
+                        else:
+                            memo = cross.get(key)
+                            if memo is not None:
+                                # the memo's level m must still be where the
+                                # stacks diverge, under the same region, site
+                                # lines and (RAW) pair statics
+                                m = memo[6]
+                                d = m + 1
+                                n_p = len(p_ids)
+                                if not (
+                                    d <= n_p
+                                    and d <= n_ids
+                                    and p_ids[m] == ids_t[m]
+                                    and (d == n_p or d == n_ids or p_ids[d] != ids_t[d])
+                                    and statics_t[m] == memo[7]
+                                    and p_ctx[2][m] == memo[4]
+                                    and sites_t[m] == memo[5]
+                                    and (
+                                        memo[9] is None
+                                        or memo[9] == (
+                                            p_ctx[3][d] if d < n_p else None,
+                                            statics_t[d] if d < n_ids else None,
+                                        )
+                                    )
+                                ):
+                                    memo = None
+                        if memo is None:
+                            memo = derive(kind, p_ctx, psid, sid, same, cross, key)
+                            if memo is None:
+                                continue  # the stacks share no activation
+                            m = memo[6]
+                        else:
+                            pim = p_ctx[1][m]
+                            cim = iters_t[m]
+                            if pim != cim and pim != -1 and cim != -1:
+                                memo[3] += 1
+                            else:
+                                memo[2] += 1
+                        if memo[8] is not None:
+                            # a RAW between sibling loops: the first read of each
+                            # address per reader activation yields an (i_x, i_y)
+                            pair_key = memo[8]
+                            d = m + 1
+                            ix = p_ctx[1][d]
+                            iy = iters_t[d]
+                            if ix != -1 and iy != -1:
+                                skey = (ids_t[d], pair_key[0], addr)
+                                if skey not in pair_seen:
+                                    pair_seen.add(skey)
+                                    lst = pairs.get(pair_key)
+                                    if lst is None:
+                                        pairs[pair_key] = [(ix, iy)]
+                                    else:
+                                        lst.append((ix, iy))
+                    if is_read:
+                        w_ctx = rec[0]
+                        r_ctx = rec[2]
+                        rec[2] = ctx
+                        rec[3] = sid
+                    else:
+                        rec[0] = ctx
+                        rec[1] = sid
+                todo = ft_todo.get(sid)
+                if todo is None:
+                    # first touch of this sid under the live loop regions:
+                    # update the loop access tables, then list the levels
+                    # (position in loops, read-first key) a read may mark
                     var = s_vars[sid]
                     line = s_lines[sid]
                     table = loop_var_reads if is_read else loop_var_writes
-                    for i in loop_idx:
-                        k = (statics[i], var)
+                    todo = []
+                    for p, i in enumerate(loops):
+                        k = (statics_t[i], var)
                         loop_accessed.add(k)
-                        lines = table.get(k)
-                        if lines is None:
-                            table[k] = {line}
-                        else:
-                            lines.add(line)
-                    walk = True
-                    if af:
-                        # skip once every live loop level has marked the
-                        # variable read-first; always skip writes of a
-                        # variable the program never reads (their walk only
-                        # suppresses read marks that can never come)
-                        walk = False
-                        if is_read or var in vars_with_reads:
-                            for i in loop_idx:
-                                if (statics[i], var) not in read_first:
-                                    walk = True
-                                    break
-                    ft_walk[sid] = walk
-                if walk:
-                    var = s_vars[sid]
-                    for i in reversed(loop_idx):
-                        level_seen = seen[i]
-                        if addr in level_seen:
-                            break
-                        level_seen.add(addr)
-                        if is_read:
-                            read_first.add((statics[i], var))
+                        table.setdefault(k, set()).add(line)
+                        if is_read and k not in read_first:
+                            todo.append((p, k))
+                    ft_todo[sid] = todo = tuple(todo)
+                if todo:
+                    # Mark the variable read-first at each unmarked loop
+                    # level, innermost out, until a level whose current
+                    # (activation, iteration) the address's last write or
+                    # last read shares: that access was this iteration's
+                    # first touch.  Activation ids are unique, so sharing a
+                    # level shares every enclosing one, and the marked
+                    # levels in between need no check.
+                    n = 0
+                    for p, k in todo:
+                        i = loops[p]
+                        act = ids_t[i]
+                        it = iters_t[i]
+                        if w_ctx is not None:
+                            w_ids = w_ctx[0]
+                            if i < len(w_ids) and w_ids[i] == act and w_ctx[1][i] == it:
+                                break
+                        if r_ctx is not None:
+                            r_ids = r_ctx[0]
+                            if i < len(r_ids) and r_ids[i] == act and r_ctx[1][i] == it:
+                                break
+                        read_first.add(k)
+                        n += 1
+                    if n:
+                        ft_todo[sid] = todo[n:]
             elif tag == EV_COST:
                 line = ev[1]
                 amount = ev[2]
@@ -540,21 +570,20 @@ class Profiler(Sink):
                     site_costs[k] = amount if count is None else count + amount
             elif tag == EV_STMT:
                 line = ev[1]
-                if sites and sites[-1] != line:
-                    sites[-1] = line
+                if sites_t and sites_t[-1] != line:
                     sites_t = sites_t[:-1] + (line,)
-                    ctx = (ids_t, iters_t, sites_t)
+                    ctx = (ids_t, iters_t, sites_t, statics_t)
             elif tag == EV_ITER:
                 index = ev[2]
-                iters[-1] = index
                 iters_t = iters_t[:-1] + (index,)
-                ctx = (ids_t, iters_t, sites_t)
-                seen[-1] = set()
+                ctx = (ids_t, iters_t, sites_t, statics_t)
                 if ct_top is not None and index > 0:
                     acc = act_costs[-1]
                     ct_top.per_iter_cost.append(acc - iter_marks[-1])
                     iter_marks[-1] = acc
             else:
+                # the transitions read the current snapshot from self
+                self._ctx = ctx
                 if tag == EV_ENTER_FUNC:
                     self._enter(ev[1], ev[2], "function", ev[3])
                 elif tag == EV_EXIT_FUNC:
@@ -565,21 +594,20 @@ class Profiler(Sink):
                     self._exit(ev[3])
                 else:  # pragma: no cover - exhaustiveness guard
                     raise ValueError(f"unknown event tag {tag!r}")
-                # region transitions rebuild the context snapshots from the
-                # stacks, and the per-activation hoists
-                ids_t = self._ids_t
-                same_ids = ids_t or None
-                iters_t = self._iters_t
-                sites_t = self._sites_t
                 ctx = self._ctx
-                cur_static = statics[-1] if statics else -1
+                ids_t, iters_t, sites_t, statics_t = ctx
+                n_ids = len(ids_t)
+                same_ids = ids_t or None
+                loops = self._loops
+                ft_todo = self._ft_todo
+                cur_static = statics_t[-1] if statics_t else -1
                 pet_top = pet_stack[-1] if pet_stack else None
                 ct_top = ct_stack[-1] if ct_stack else None
-        self._iters_t = iters_t
-        self._sites_t = sites_t
         self._ctx = ctx
+        self.derivations = derivations
         profile.total_cost = total_cost
         profile.array_accesses = arr_n
+        profile.unique_array_addresses = arr_addrs
 
     def finish(self) -> None:
         profile = self.profile
@@ -599,10 +627,10 @@ class Profiler(Sink):
                 )
                 deps[dep] = deps.get(dep, 0) + count
             self._deps_raw = {}
-        # Sorted by region id so live profiles iterate identically to
-        # cache-round-tripped ones (the serializer emits sorted order, and
-        # detector insertion order rides on this dict's iteration order).
+            profile.deps = sorted_deps(deps)
+        # Sorted like the serializer's output, so live profiles iterate
+        # identically to cache-round-tripped ones (detector insertion order
+        # rides on these dicts' iteration order).
         profile.loop_trips = {k: tuple(self._trips[k]) for k in sorted(self._trips)}
-        profile.unique_array_addresses = len(self._array_addrs)
         if profile.pet is not None:
             profile.pet.compute_inclusive()

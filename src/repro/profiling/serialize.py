@@ -29,24 +29,9 @@ import hashlib
 import json
 from typing import Any, IO
 
-from repro.profiling.model import CallNode, DepKey, PETNode, Profile
+from repro.profiling.model import CallNode, DepKey, PETNode, Profile, _dep_sort_key
 
 _FORMAT_VERSION = 1
-
-
-def _dep_sort_key(key: DepKey) -> tuple:
-    # `carrier` is None for loop-independent edges; map it below any real
-    # region id so mixed edges order deterministically.
-    return (
-        key.kind,
-        key.var,
-        key.region,
-        -1 if key.carrier is None else key.carrier,
-        key.src_line,
-        key.dst_line,
-        key.src_site,
-        key.dst_site,
-    )
 
 
 def profile_to_dict(profile: Profile) -> dict[str, Any]:

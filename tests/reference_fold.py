@@ -6,9 +6,10 @@ from scratch: it rebuilds the context-stack snapshots on every access, scans
 the two stacks for their divergence point, and walks every loop level's
 first-touch set.  It has no derivation memos and no first-touch skipping,
 so equality with the profiler's tables checks that those shortcuts change
-only the work, never the result.  It folds only what the memos and the
-first-touch skips touch: dependences, multi-loop pairs, and the per-loop
-access tables.
+only the work, never the result.  It folds only what the memos, the
+first-touch skips and the shadow records touch: dependences, multi-loop
+pairs, the per-loop access tables, and the array-element access count and
+distinct element addresses.
 """
 
 from __future__ import annotations
@@ -44,9 +45,27 @@ class ReferenceFold(Sink):
         self.loop_accessed: set[tuple[int, str]] = set()
         self.loop_var_reads: dict[tuple[int, str], set[int]] = {}
         self.loop_var_writes: dict[tuple[int, str], set[int]] = {}
+        self.array_accesses = 0
+        self.array_addrs: set[int] = set()
 
     def set_site_table(self, table) -> None:
         self.table = table
+
+    def mismatches(self, profile) -> list[str]:
+        """The fields in which *profile* differs from this fold, in a fixed
+        order; pair lists must also agree in order, and their keys in
+        insertion order."""
+        fields = {
+            "deps": (profile.deps, self.deps),
+            "pairs": (list(profile.pairs.items()), list(self.pairs.items())),
+            "read_first": (profile.read_first, self.read_first),
+            "loop_accessed": (profile.loop_accessed, self.loop_accessed),
+            "loop_var_reads": (profile.loop_var_reads, self.loop_var_reads),
+            "loop_var_writes": (profile.loop_var_writes, self.loop_var_writes),
+            "array_accesses": (profile.array_accesses, self.array_accesses),
+            "unique_array_addresses": (profile.unique_array_addresses, len(self.array_addrs)),
+        }
+        return [name for name, (observed, expected) in fields.items() if observed != expected]
 
     def consume_batch(self, events) -> None:
         for ev in events:
@@ -71,6 +90,9 @@ class ReferenceFold(Sink):
                 self._access(ev[1], ev[2], tag == EV_READ)
 
     def _access(self, addr: int, sid: int, is_read: bool) -> None:
+        if self.table.elements[sid]:
+            self.array_accesses += 1
+            self.array_addrs.add(addr)
         here = (tuple(self.ids), tuple(self.iters), tuple(self.sites))
         if is_read:
             self._dep(RAW, self.last_write.get(addr), here, sid, addr)

@@ -13,7 +13,11 @@ a declared extension, and the digest file is updated in the same change.
 A failing test prints the observed digest.
 
 Each full document, spans and timings included, must also survive
-``analysis_from_dict`` and encode back to the same text.
+``analysis_from_dict`` and encode back to the same text.  A document
+analysed from a live profile must equal the one analysed from the same
+profile read back from the profile cache: detectors insert CU-graph edges
+in ``profile.deps`` order, so a live profile must iterate its dependences
+as a decoded one does.
 
 The same analyses pin the simulation layer in ``sim_golden.json``: for
 each program, ``plan_and_simulate``'s label, hotspot share and speedup at
@@ -21,7 +25,8 @@ every default thread count, and every ``rank_patterns`` option (label,
 best speedup, best threads, effort, lines touched), all compared exactly.
 A failing test prints the observed entry.  At one thread every pattern's
 schedule, primary and ranked, must run exactly as fast as the serial
-program.
+program, and the ranked option for the primary label must read the
+primary sweep's best speedup at the same thread count.
 """
 
 import hashlib
@@ -37,6 +42,7 @@ from repro.lang.validate import validate_program
 from repro.patterns.engine import analyze
 from repro.patterns.ranking import rank_patterns
 from repro.patterns.schema import analysis_from_dict, analysis_to_dict, strip_trace_timings
+from repro.profiling.cache import ProfileCache
 from repro.profiling.serialize import canonical_json
 from repro.service.jobs import build_call_args
 from repro.sim import plan_and_simulate
@@ -55,6 +61,18 @@ def _assert_pinned(section, key, result):
     assert observed == _DIGESTS[section][key], json.dumps({key: observed})
 
 
+def _assert_cold_equals_warm(cache_dir, program, entry, arg_sets, **options):
+    cache = ProfileCache(cache_dir)
+    cold, warm = (
+        canonical_json(strip_trace_timings(analysis_to_dict(
+            analyze(program, entry, arg_sets, cache=cache, **options)
+        )))
+        for _ in range(2)
+    )
+    assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+    assert cold == warm
+
+
 def _assert_sim_pinned(section, key, result):
     outcome = plan_and_simulate(result)
     observed = {
@@ -67,6 +85,16 @@ def _assert_sim_pinned(section, key, result):
         ],
     }
     assert observed == _SIM[section][key], json.dumps({key: observed}, sort_keys=True)
+
+
+def _assert_ranked_primary_reads_the_primary_sweep(key, result):
+    primary = plan_and_simulate(result)
+    observed = [
+        [o.best_speedup, o.best_threads]
+        for o in rank_patterns(result) if o.label == primary.label
+    ]
+    expected = [[primary.sweep.best_speedup, primary.sweep.best_threads]]
+    assert observed in ([], expected), json.dumps({key: [observed, expected]})
 
 
 def _assert_serial_at_one_thread(key, result):
@@ -102,12 +130,41 @@ def test_corpus_document(corpus_case):
 
 
 @pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
+def test_registry_cold_document_equals_warm(spec, tmp_path):
+    _assert_cold_equals_warm(
+        tmp_path, spec.program, spec.entry, spec.arg_sets(),
+        hotspot_threshold=spec.hotspot_threshold, min_pairs=spec.min_pairs,
+    )
+
+
+@pytest.mark.parametrize(
+    "idx", range(len(_CORPUS)), ids=lambda idx: f"{idx}-{_CORPUS[idx].template}"
+)
+def test_corpus_cold_document_equals_warm(idx, tmp_path):
+    tp = _CORPUS[idx]
+    program = parse_program(tp.source)
+    validate_program(program)
+    _assert_cold_equals_warm(
+        tmp_path, program, tp.entry, [build_call_args(tp.arg_specs, seed=0)]
+    )
+
+
+@pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
 def test_registry_sim(spec):
     _assert_sim_pinned("registry", spec.name, analyze_benchmark(spec.name))
 
 
 def test_corpus_sim(corpus_case):
     _assert_sim_pinned("corpus", *corpus_case)
+
+
+@pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)
+def test_registry_ranked_primary_reads_the_primary_sweep(spec):
+    _assert_ranked_primary_reads_the_primary_sweep(spec.name, analyze_benchmark(spec.name))
+
+
+def test_corpus_ranked_primary_reads_the_primary_sweep(corpus_case):
+    _assert_ranked_primary_reads_the_primary_sweep(*corpus_case)
 
 
 @pytest.mark.parametrize("spec", all_benchmarks(), ids=lambda spec: spec.name)

@@ -13,8 +13,9 @@ pinned to the benchmark's committed references
 (``benchmarks/perf/expected.json``), which catches a profiler change that
 alters both engines' profiles alike, and each registry analysis on the
 default path must do exactly the work committed in ``registry_counts.json``
-(events per tag, batches, evidence), which catches that path falling back
-to the tree walker.
+(events per tag, batches, exact derivations, evidence), which catches that
+path falling back to the tree walker, or the profiler fold falling back to
+per-access derivation.
 
 C-style truncating division and modulo (``_c_int_div`` / ``_c_int_mod``)
 get direct unit coverage for negative operands — the one place MiniC
@@ -94,12 +95,14 @@ _EXPECTED = json.loads(
 )["registry"]
 
 # Exact work counts of each registry analysis on the product's default path:
-# events per tag and batches the profiler consumed, and the detectors'
-# accepted and rejected evidence.  They are deterministic, so they carry no
-# tolerance.  The digest cannot see which engine produced a profile, but the
-# counts can: the compiled engine coalesces EV_COST events that the tree
-# walker emits one by one.  A change that means to move a count updates
-# exactly the rows it explains.
+# events per tag and batches the profiler consumed, the profiler's exact
+# dependence derivations (its memo misses), and the detectors' accepted and
+# rejected evidence.  They are deterministic, so they carry no tolerance.
+# The digest cannot see which engine produced a profile, but the counts
+# can: the compiled engine coalesces EV_COST events that the tree walker
+# emits one by one.  Nor can it see a fold that falls back to deriving
+# every access exactly, which the derivation count shows.  A change that
+# means to move a count updates exactly the rows it explains.
 _COUNTS = json.loads(Path(__file__).with_name("registry_counts.json").read_text())
 
 _EVENT_TAGS = {
@@ -115,13 +118,17 @@ def test_registry_profiles_identical_across_engines(spec, monkeypatch):
     tree = profile_runs(spec.program, spec.entry, spec.arg_sets(), engine="tree")
     assert profile_digest(tree) == _EXPECTED[spec.name]["profile_digest"]
 
-    tags, batches = Counter(), []
+    tags, batches, derivations = Counter(), [], []
 
     class CountingProfiler(Profiler):
         def consume_batch(self, events):
             batches.append(len(events))
             tags.update(event[0] for event in events)
             super().consume_batch(events)
+
+        def finish(self):
+            super().finish()
+            derivations.append(self.derivations)
 
     # The serial path of `table3 --no-parallel`, with every engine default.
     monkeypatch.setattr(runner, "Profiler", CountingProfiler)
@@ -131,6 +138,7 @@ def test_registry_profiles_identical_across_engines(spec, monkeypatch):
     observed = {name: tags[tag] for tag, name in _EVENT_TAGS.items()}
     observed.update(
         batches=len(batches),
+        derivations=sum(derivations),
         evidence_accepted=outcome.evidence_accepted,
         evidence_rejected=outcome.evidence_rejected,
     )
