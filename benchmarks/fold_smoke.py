@@ -5,12 +5,14 @@
     PYTHONPATH=src:tests python benchmarks/fold_smoke.py --count 1000 --seed 12345
 
 Runs each program of ``generate_programs(count, seed, adversarial=True)``
+and as many of ``tests/fold_shapes.py``'s ``generate_shapes(count, seed)``
 through the compiled engine twice, into
 :class:`~repro.profiling.profiler.Profiler` and into the plain per-access
 ``ReferenceFold`` of ``tests/reference_fold.py``, and exits 1 at the first
-program whose folds differ, naming its index, its template, the fields that
-differ and its source.  CI seeds the draw with the commit hash, so every
-commit checks programs the fixed draws of
+program whose folds differ, naming its index, its template or shape, the
+fields that differ and its source.  The shapes reach the cross-stack memo
+and first-touch rules the corpus templates rarely do.  CI seeds the draw
+with the commit hash, so every commit checks programs the fixed draws of
 ``tests/test_profiler_reference.py`` never see.  Exit 0 when every program
 matches.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -26,6 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="corpus seed")
     args = parser.parse_args(argv)
 
+    from fold_shapes import generate_shapes
     from reference_fold import ReferenceFold
 
     from repro.corpus import generate_programs
@@ -35,23 +38,29 @@ def main(argv: list[str] | None = None) -> int:
     from repro.runtime.compile import CompiledEngine
     from repro.service.jobs import build_call_args
 
-    programs = generate_programs(args.count, args.seed, adversarial=True)
-    for idx, tp in enumerate(programs):
-        program = parse_program(tp.source)
+    cases = [
+        (f"program {idx} ({tp.template})", tp.source, tp.entry,
+         build_call_args(tp.arg_specs, seed=0))
+        for idx, tp in enumerate(generate_programs(args.count, args.seed, adversarial=True))
+    ] + [
+        (f"shape {idx} ({sh.shape})", sh.source, sh.entry, sh.args)
+        for idx, sh in enumerate(generate_shapes(args.count, args.seed))
+    ]
+    for name, source, entry, call_args in cases:
+        program = parse_program(source)
         validate_program(program)
-        call_args = build_call_args(tp.arg_specs, seed=0)
         profiler, reference = Profiler(), ReferenceFold()
-        CompiledEngine(program, sink=profiler).run(tp.entry, call_args)
-        CompiledEngine(program, sink=reference).run(tp.entry, call_args)
+        CompiledEngine(program, sink=profiler).run(entry, call_args)
+        CompiledEngine(program, sink=reference).run(entry, call_args)
         differ = reference.mismatches(profiler.profile)
         if differ:
             print(
-                f"fold-smoke: program {idx} ({tp.template}) of seed {args.seed} "
+                f"fold-smoke: {name} of seed {args.seed} "
                 f"differs from the reference fold in {', '.join(differ)}:"
             )
-            print(tp.source)
+            print(source)
             return 1
-    print(f"fold-smoke: all {len(programs)} programs of seed {args.seed} match the reference fold")
+    print(f"fold-smoke: all {len(cases)} programs of seed {args.seed} match the reference fold")
     return 0
 
 

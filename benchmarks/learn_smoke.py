@@ -58,17 +58,17 @@ def main() -> int:
         cache = ProfileCache(work / "cache")
 
         # 1. training is a pure function of (corpus, seed) — run to run
-        first = train_on_corpus(suite, kind="logistic", seed=EVAL_SEED,
-                                holdout=HOLDOUT, cache=cache).to_json()
-        again = train_on_corpus(suite, kind="logistic", seed=EVAL_SEED,
-                                holdout=HOLDOUT, cache=cache).to_json()
+        first = train_on_corpus(suite, seed=EVAL_SEED, holdout=HOLDOUT,
+                                cache=cache).to_json()
+        again = train_on_corpus(suite, seed=EVAL_SEED, holdout=HOLDOUT,
+                                cache=cache).to_json()
         check(first == again,
               f"logistic training on {manifest['name']} is byte-deterministic "
               "run to run")
 
         # 2. held-out F1 gate, scored through the corpus machinery
-        doc = evaluate_corpus(suite, kind="logistic", seed=EVAL_SEED,
-                              holdout=HOLDOUT, cache=cache)
+        doc = evaluate_corpus(suite, seed=EVAL_SEED, holdout=HOLDOUT,
+                              cache=cache)
         for dim in GATED_DIMENSIONS:
             f1 = doc["learned"][dim]["f1"]
             check(f1 is not None and f1 >= MIN_F1,

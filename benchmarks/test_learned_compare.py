@@ -1,7 +1,7 @@
 """Learned baseline vs rule-based detectors on a held-out adversarial split.
 
 The learned-detection counterpart of the Table III regeneration: train the
-stdlib logistic/tree classifiers on the train side of a fixed-seed
+stdlib logistic classifiers on the train side of a fixed-seed
 adversarial corpus and report per-pattern precision/recall/F1 side by side
 with the rule-based registry on the *same* held-out programs, written to
 ``benchmarks/output/learned_compare.txt``.
@@ -40,12 +40,11 @@ def suite(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def eval_doc(suite):
-    return evaluate_corpus(suite, kind="logistic", seed=EVAL_SEED)
+    return evaluate_corpus(suite, seed=EVAL_SEED)
 
 
 def test_learned_compare(benchmark, save_artifact, suite, eval_doc):
-    doc = benchmark(lambda: evaluate_corpus(suite, kind="logistic",
-                                            seed=EVAL_SEED))
+    doc = benchmark(lambda: evaluate_corpus(suite, seed=EVAL_SEED))
     assert canonical_json(doc) == canonical_json(eval_doc)
     save_artifact("learned_compare.txt", comparison_table(eval_doc))
 

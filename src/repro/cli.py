@@ -650,7 +650,7 @@ def _cmd_learn_train(args: argparse.Namespace) -> int:
     suite = _load_corpus(args.dir)
     try:
         model = train_on_corpus(
-            suite, kind=args.model, seed=args.seed, holdout=args.holdout,
+            suite, seed=args.seed, holdout=args.holdout,
             cache=_make_cache(args), parallel=args.parallel,
         )
     except ValueError as exc:
@@ -672,7 +672,7 @@ def _cmd_learn_eval(args: argparse.Namespace) -> int:
     suite = _load_corpus(args.dir)
     try:
         doc = evaluate_corpus(
-            suite, kind=args.model, seed=args.seed, holdout=args.holdout,
+            suite, seed=args.seed, holdout=args.holdout,
             cache=_make_cache(args), parallel=args.parallel,
         )
     except ValueError as exc:
@@ -904,10 +904,6 @@ def _add_learn_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_learn_model_flags(p: argparse.ArgumentParser, default_holdout: float) -> None:
-    from repro.learn import MODEL_KINDS
-
-    p.add_argument("--model", choices=list(MODEL_KINDS), default="logistic",
-                   help="classifier family (default: logistic)")
     p.add_argument("--seed", type=int, default=7,
                    help="split/training seed (default: 7)")
     p.add_argument("--holdout", type=float, default=default_holdout,

@@ -1,14 +1,12 @@
 """Static analysis helpers over MiniC ASTs.
 
 These helpers answer purely lexical questions used throughout the library:
-which variables a statement reads/writes, which functions it calls, the loop
-structure of a function, and source LOC.  Dynamic (dependence) questions are
+which variables a statement reads/writes, which functions it calls, which
+loops enclose a region, and source LOC.  Dynamic (dependence) questions are
 the profiler's job.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.lang.ast_nodes import (
     ArrayRef,
@@ -17,7 +15,6 @@ from repro.lang.ast_nodes import (
     Expr,
     For,
     Function,
-    If,
     Program,
     Stmt,
     VarDecl,
@@ -108,16 +105,45 @@ def function_loops(func: Function) -> list[For | While]:
     return [s for s in walk_stmts(func.body) if isinstance(s, (For, While))]
 
 
-def top_level_loops(body: list[Stmt]) -> list[For | While]:
-    """Loops appearing in *body* (descending through ifs but not loops)."""
-    loops: list[For | While] = []
-    for stmt in body:
-        if isinstance(stmt, (For, While)):
-            loops.append(stmt)
-        elif isinstance(stmt, If):
-            loops.extend(top_level_loops(stmt.then_body))
-            loops.extend(top_level_loops(stmt.else_body))
+def enclosing_loops(program: Program, region: int) -> list[int]:
+    """The loop regions enclosing *region*, innermost first (none for a
+    function body or an unknown region).  The only walk up the static
+    region tree's parents."""
+    loops: list[int] = []
+    reg = program.regions.get(region)
+    while reg is not None and reg.parent is not None:
+        reg = program.regions.get(reg.parent)
+        if reg is not None and reg.kind == "loop":
+            loops.append(reg.region_id)
     return loops
+
+
+def loop_induction_vars(program: Program, loop: int) -> set[str]:
+    """Induction variables of *loop* and every loop nested inside it."""
+    region = program.regions.get(loop)
+    if region is None or region.node is None:
+        return set()
+    names = set(getattr(region.node, "induction_vars", ()))
+    for other in program.regions.values():
+        if other.node is not None and loop in enclosing_loops(
+            program, other.region_id
+        ):
+            names |= other.node.induction_vars
+    return names
+
+
+def non_escaping_names(program: Program, loop: int) -> set[str]:
+    """Names that cannot be observed outside the loop's function: declared
+    locals and by-value scalar parameters.  Only these may be privatized."""
+    region = program.regions.get(loop)
+    if region is None or not program.has_function(region.function):
+        return set()
+    func = program.function(region.function)
+    names = {p.name for p in func.params if not p.is_array and not p.by_ref}
+    for stmt in walk_stmts(func.body):
+        if isinstance(stmt, VarDecl):
+            names.add(stmt.name)
+    return names
 
 
 def called_functions(func: Function, program: Program) -> list[Function]:
@@ -171,44 +197,3 @@ def source_loc(source: str) -> int:
     """Lines holding at least one token — Table III's LOC, which counts
     neither blank lines nor lines that only hold comments."""
     return len({tok.line for tok in tokenize(source)[:-1]})
-
-
-@dataclass
-class LoopNestInfo:
-    """Summary of a loop nest rooted at ``loop``."""
-
-    loop: For | While
-    depth: int
-    inner: list["LoopNestInfo"] = field(default_factory=list)
-
-    def flat(self) -> list[For | While]:
-        loops = [self.loop]
-        for child in self.inner:
-            loops.extend(child.flat())
-        return loops
-
-
-def loop_nests(body: list[Stmt], depth: int = 0) -> list[LoopNestInfo]:
-    """The loop-nest forest of *body*."""
-    nests: list[LoopNestInfo] = []
-    for stmt in body:
-        if isinstance(stmt, (For, While)):
-            info = LoopNestInfo(loop=stmt, depth=depth)
-            info.inner = loop_nests(stmt.body, depth + 1)
-            nests.append(info)
-        elif isinstance(stmt, If):
-            nests.extend(loop_nests(stmt.then_body, depth))
-            nests.extend(loop_nests(stmt.else_body, depth))
-    return nests
-
-
-def max_loop_depth(func: Function) -> int:
-    """Deepest loop nesting level in *func* (0 when loop-free)."""
-
-    def depth_of(nests: list[LoopNestInfo]) -> int:
-        best = 0
-        for nest in nests:
-            best = max(best, 1 + depth_of(nest.inner))
-        return best
-
-    return depth_of(loop_nests(func.body))

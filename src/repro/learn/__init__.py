@@ -8,8 +8,8 @@ them against the rule-based detectors on a held-out split through the
 same scoring machinery (``repro learn features|train|eval``).
 
 * :mod:`repro.learn.features` — deterministic, versioned feature vectors
-* :mod:`repro.learn.model` — logistic regression + decision tree with a
-  content-addressed JSON artifact
+* :mod:`repro.learn.model` — logistic regression with a content-addressed
+  JSON artifact
 * :mod:`repro.learn.eval` — the train/held-out split and the
   learned-vs-rules comparison document
 """
@@ -23,7 +23,6 @@ from repro.learn.features import (
 )
 from repro.learn.model import (
     LEARN_MODEL_RECORD,
-    MODEL_KINDS,
     LearnedModel,
     model_digest,
     train_model,
@@ -48,7 +47,6 @@ __all__ = [
     "extract_features",
     "features_for_entry",
     "LEARN_MODEL_RECORD",
-    "MODEL_KINDS",
     "LearnedModel",
     "model_digest",
     "train_model",

@@ -62,7 +62,6 @@ def holdout_split(
 
 def evaluate_corpus(
     suite: CorpusSuite,
-    kind: str = "logistic",
     seed: int = 7,
     holdout: float = DEFAULT_HOLDOUT,
     cache=None,
@@ -86,7 +85,6 @@ def evaluate_corpus(
         )
     model = train_model(
         [rows[name] for name in train_names],
-        kind=kind,
         seed=seed,
         trained_on={
             "corpus": suite.name,
@@ -110,7 +108,7 @@ def evaluate_corpus(
         "record": LEARN_EVAL_RECORD,
         "corpus": suite.name,
         "corpus_digest": suite.corpus_digest,
-        "model": kind,
+        "model": model.kind,
         "model_digest": model.model_digest,
         "features_version": FEATURES_VERSION,
         "seed": seed,
@@ -129,7 +127,6 @@ def evaluate_corpus(
 
 def train_on_corpus(
     suite: CorpusSuite,
-    kind: str = "logistic",
     seed: int = 7,
     holdout: float = 0.0,
     cache=None,
@@ -149,7 +146,6 @@ def train_on_corpus(
         names, _ = holdout_split(names, seed=seed, holdout=holdout)
     return train_model(
         [rows[name] for name in names],
-        kind=kind,
         seed=seed,
         trained_on={
             "corpus": suite.name,

@@ -39,7 +39,13 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Any
 
-from repro.lang.analysis import stmt_reads
+from repro.lang.analysis import (
+    array_names,
+    enclosing_loops,
+    loop_induction_vars,
+    non_escaping_names,
+    stmt_reads,
+)
 from repro.lang.ast_nodes import (
     Assign,
     Call,
@@ -54,7 +60,6 @@ from repro.lang.ast_nodes import (
     walk_exprs,
     walk_stmts,
 )
-from repro.patterns.doall import loop_induction_vars, non_escaping_names
 from repro.profiling.hotspots import DEFAULT_THRESHOLD
 from repro.profiling.model import RAW, WAR, WAW, Profile
 
@@ -247,20 +252,6 @@ def _dead_cost_per_region(
     return total, per_region
 
 
-def _loop_depth(program: Program, loop: int) -> int:
-    """Nesting depth of *loop*: 1 directly under a function body."""
-    depth = 0
-    region = program.regions.get(loop)
-    while region is not None and region.kind == "loop":
-        depth += 1
-        region = (
-            program.regions.get(region.parent)
-            if region.parent is not None
-            else None
-        )
-    return depth
-
-
 # ---------------------------------------------------------------------------
 # small deterministic folds
 # ---------------------------------------------------------------------------
@@ -331,7 +322,7 @@ def extract_features(program: Program, profile: Profile) -> dict[str, float]:
     loops_with_calls = 0
     max_depth = 0
     for loop in loop_regions:
-        max_depth = max(max_depth, _loop_depth(program, loop))
+        max_depth = max(max_depth, 1 + len(enclosing_loops(program, loop)))
         node = program.regions[loop].node
         body = node.body if node is not None else []
         has_call = False
@@ -403,8 +394,6 @@ def extract_features(program: Program, profile: Profile) -> dict[str, float]:
     scalar_accum_loops: set[int] = set()
     escaping_accum_loops: set[int] = set()
     array_recurrence_loops: set[int] = set()
-    from repro.lang.analysis import array_names
-
     arrays = array_names(program)
 
     # Privatizable per classify_loop: written-before-read, non-escaping.
@@ -438,7 +427,7 @@ def extract_features(program: Program, profile: Profile) -> dict[str, float]:
         if dep.var in induction:
             continue
         carried_counts[dep.kind] = carried_counts.get(dep.kind, 0) + 1
-        if _loop_depth(program, loop) <= 1:
+        if not enclosing_loops(program, loop):
             depth1 += 1
         else:
             deep += 1

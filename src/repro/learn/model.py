@@ -1,21 +1,18 @@
-"""Stdlib-only learned detectors: logistic regression and a decision tree.
+"""Stdlib-only learned detector: logistic regression.
 
-Both models are trained per pattern dimension (six independent binary
+The model is trained per pattern dimension (six independent binary
 classifiers over the one shared feature vector of
-:mod:`repro.learn.features`) and serialize to a content-addressed JSON
+:mod:`repro.learn.features`) and serializes to a content-addressed JSON
 artifact following the repository's envelope convention
 (``schema_version`` + a ``"record"`` discriminator), so artifacts
-round-trip and can be diffed/compared by digest.
+round-trip and can be diffed/compared by digest.  The artifact names its
+model (``"model": "logistic"``); a document naming any other is refused.
 
 **Determinism.**  Training must be byte-identical for a fixed
 ``(corpus, seed)``:
 
-* logistic regression uses full-batch gradient descent from a zero
-  initialization — no RNG anywhere, a fixed iteration count, and examples
-  folded in corpus order;
-* the decision tree is CART with exhaustive threshold search, scanning
-  features in index order and accepting a split only on a strictly better
-  impurity, so ties resolve identically everywhere;
+* full-batch gradient descent from a zero initialization — no RNG
+  anywhere, a fixed iteration count, and examples folded in corpus order;
 * floats are serialized by ``repr`` via ``json`` — equal computations
   give equal bytes.
 
@@ -38,16 +35,11 @@ from repro.profiling.serialize import canonical_json
 
 LEARN_MODEL_RECORD = "learn_model"
 
-#: Supported model kinds (CLI ``--model`` values).
-MODEL_KINDS = ("logistic", "tree")
-
 # Fixed training hyper-parameters — part of the model definition, not knobs,
 # so two trainings of the same data cannot diverge.
 _LOGISTIC_ITERATIONS = 400
 _LOGISTIC_RATE = 0.5
 _LOGISTIC_L2 = 1e-3
-_TREE_MAX_DEPTH = 3
-_TREE_MIN_LEAF = 2
 
 
 def _sigmoid(z: float) -> float:
@@ -113,76 +105,6 @@ def _train_logistic_one(
 
 
 # ---------------------------------------------------------------------------
-# decision tree (CART, gini, deterministic tie-breaking)
-# ---------------------------------------------------------------------------
-
-
-def _gini(pos: int, total: int) -> float:
-    if total == 0:
-        return 0.0
-    p = pos / total
-    return 2.0 * p * (1.0 - p)
-
-
-def _grow_tree(
-    matrix: list[list[float]],
-    labels: list[int],
-    indices: list[int],
-    depth: int,
-) -> dict[str, Any]:
-    pos = sum(labels[i] for i in indices)
-    total = len(indices)
-    leaf = {
-        "leaf": True,
-        "prediction": pos * 2 >= total and pos > 0,
-        "positive": pos,
-        "total": total,
-    }
-    if depth >= _TREE_MAX_DEPTH or pos == 0 or pos == total:
-        return leaf
-    parent_impurity = _gini(pos, total)
-    best: tuple[float, int, float] | None = None  # (impurity, feature, threshold)
-    for j in range(len(FEATURE_NAMES)):
-        values = sorted({matrix[i][j] for i in indices})
-        for lo, hi in zip(values, values[1:]):
-            threshold = (lo + hi) / 2.0
-            left = [i for i in indices if matrix[i][j] <= threshold]
-            right = [i for i in indices if matrix[i][j] > threshold]
-            if len(left) < _TREE_MIN_LEAF or len(right) < _TREE_MIN_LEAF:
-                continue
-            lp = sum(labels[i] for i in left)
-            rp = sum(labels[i] for i in right)
-            impurity = (
-                len(left) * _gini(lp, len(left))
-                + len(right) * _gini(rp, len(right))
-            ) / total
-            if best is None or impurity < best[0] - 1e-12:
-                best = (impurity, j, threshold)
-    if best is None or best[0] >= parent_impurity - 1e-12:
-        return leaf
-    _, j, threshold = best
-    left = [i for i in indices if matrix[i][j] <= threshold]
-    right = [i for i in indices if matrix[i][j] > threshold]
-    return {
-        "leaf": False,
-        "feature": FEATURE_NAMES[j],
-        "feature_index": j,
-        "threshold": threshold,
-        "left": _grow_tree(matrix, labels, left, depth + 1),
-        "right": _grow_tree(matrix, labels, right, depth + 1),
-    }
-
-
-def _tree_predict(node: dict[str, Any], row: Sequence[float]) -> bool:
-    while not node["leaf"]:
-        if row[node["feature_index"]] <= node["threshold"]:
-            node = node["left"]
-        else:
-            node = node["right"]
-    return bool(node["prediction"])
-
-
-# ---------------------------------------------------------------------------
 # the model object + artifact round-trip
 # ---------------------------------------------------------------------------
 
@@ -211,20 +133,16 @@ class LearnedModel:
                 f"{self.doc['features_version']}, extractor is {FEATURES_VERSION}"
             )
         row = [float(features[name]) for name in FEATURE_NAMES]
+        means = self.doc["standardize"]["means"]
+        scales = self.doc["standardize"]["scales"]
+        std = [(v - m) / s for v, m, s in zip(row, means, scales)]
         out: dict[str, bool] = {}
-        if self.kind == "logistic":
-            means = self.doc["standardize"]["means"]
-            scales = self.doc["standardize"]["scales"]
-            std = [(v - m) / s for v, m, s in zip(row, means, scales)]
-            for dim in PATTERN_DIMENSIONS:
-                params = self.doc["dimensions"][dim]
-                z = params["bias"]
-                for w, v in zip(params["weights"], std):
-                    z += w * v
-                out[dim] = z >= 0.0
-        else:
-            for dim in PATTERN_DIMENSIONS:
-                out[dim] = _tree_predict(self.doc["dimensions"][dim]["tree"], row)
+        for dim in PATTERN_DIMENSIONS:
+            params = self.doc["dimensions"][dim]
+            z = params["bias"]
+            for w, v in zip(params["weights"], std):
+                z += w * v
+            out[dim] = z >= 0.0
         return out
 
     # -- persistence -------------------------------------------------------
@@ -259,7 +177,7 @@ def validate_model_record(doc: dict[str, Any]) -> dict[str, Any]:
         )
     if doc.get("record") != LEARN_MODEL_RECORD:
         raise ValueError("document is not a learned-model record")
-    if doc.get("model") not in MODEL_KINDS:
+    if doc.get("model") != "logistic":
         raise ValueError(f"unknown model kind {doc.get('model')!r}")
     if doc.get("feature_names") != list(FEATURE_NAMES):
         raise ValueError("model feature names do not match this build")
@@ -273,11 +191,10 @@ def validate_model_record(doc: dict[str, Any]) -> dict[str, Any]:
 
 def train_model(
     dataset: list[dict[str, Any]],
-    kind: str = "logistic",
     seed: int = 0,
     trained_on: dict[str, Any] | None = None,
 ) -> LearnedModel:
-    """Train one model of *kind* over *dataset* rows.
+    """Train the logistic model over *dataset* rows.
 
     Each row carries ``name``, ``features`` (the full named vector), and
     ``truth`` (the six-dimension label dict).  Rows are consumed in the
@@ -285,8 +202,6 @@ def train_model(
     artifacts.  *trained_on* is free-form provenance recorded verbatim
     (corpus name/digest, split parameters).
     """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r} (one of {MODEL_KINDS})")
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
     matrix = [
@@ -301,7 +216,7 @@ def train_model(
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "record": LEARN_MODEL_RECORD,
-        "model": kind,
+        "model": "logistic",
         "features_version": FEATURES_VERSION,
         "feature_names": list(FEATURE_NAMES),
         "seed": seed,
@@ -309,22 +224,14 @@ def train_model(
         "trained_on": dict(trained_on or {}),
         "dimensions": dimensions,
     }
-    if kind == "logistic":
-        means, scales = _standardize(matrix)
-        std = [
-            [(v - m) / s for v, m, s in zip(row, means, scales)]
-            for row in matrix
-        ]
-        doc["standardize"] = {"means": means, "scales": scales}
-        for dim in PATTERN_DIMENSIONS:
-            weights, bias = _train_logistic_one(std, labels_by_dim[dim])
-            dimensions[dim] = {"weights": weights, "bias": bias}
-    else:
-        for dim in PATTERN_DIMENSIONS:
-            dimensions[dim] = {
-                "tree": _grow_tree(
-                    matrix, labels_by_dim[dim], list(range(len(matrix))), 0
-                )
-            }
+    means, scales = _standardize(matrix)
+    std = [
+        [(v - m) / s for v, m, s in zip(row, means, scales)]
+        for row in matrix
+    ]
+    doc["standardize"] = {"means": means, "scales": scales}
+    for dim in PATTERN_DIMENSIONS:
+        weights, bias = _train_logistic_one(std, labels_by_dim[dim])
+        dimensions[dim] = {"weights": weights, "bias": bias}
     doc["model_digest"] = model_digest(doc)
     return LearnedModel(doc)

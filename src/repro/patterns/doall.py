@@ -20,6 +20,7 @@ Everything else is **sequential**.
 
 from __future__ import annotations
 
+from repro.lang.analysis import loop_induction_vars, non_escaping_names
 from repro.lang.ast_nodes import Program
 from repro.patterns.framework import (
     AnalysisContext,
@@ -33,43 +34,6 @@ from repro.patterns.result import LoopClass, LoopClassification
 from repro.profiling.model import RAW, Profile
 
 
-def loop_induction_vars(program: Program, loop: int) -> set[str]:
-    """Induction variables of *loop* and every loop nested inside it."""
-    names: set[str] = set()
-    region = program.regions.get(loop)
-    if region is None or region.node is None:
-        return names
-    names |= set(getattr(region.node, "induction_vars", frozenset()))
-    for other in program.regions.values():
-        if other.kind != "loop" or other.node is None:
-            continue
-        cursor = other
-        while cursor is not None and cursor.parent is not None:
-            if cursor.parent == loop:
-                names |= set(other.node.induction_vars)
-                break
-            cursor = program.regions.get(cursor.parent)
-    return names
-
-
-def non_escaping_names(program: Program, loop: int) -> set[str]:
-    """Names that cannot be observed outside the loop's function: declared
-    locals and by-value scalar parameters.  Only these may be privatized."""
-    from repro.lang.ast_nodes import VarDecl, walk_stmts
-
-    region = program.regions.get(loop)
-    if region is None or not program.has_function(region.function):
-        return set()
-    func = program.function(region.function)
-    names = {
-        p.name for p in func.params if not p.is_array and not p.by_ref
-    }
-    for stmt in walk_stmts(func.body):
-        if isinstance(stmt, VarDecl):
-            names.add(stmt.name)
-    return names
-
-
 def classify_loop(
     program: Program,
     profile: Profile,
@@ -81,6 +45,10 @@ def classify_loop(
     *use_privatization* exists for ablation: without it, WAR/WAW on
     written-before-read scalars (every loop-local temporary) block do-all
     classification, as a naive dependence test would conclude.
+
+    This is the only caller of Algorithm 3 (:func:`detect_reductions`).  A
+    do-all loop skips it: Algorithm 3's candidates need a carried RAW
+    outside the induction set, which a do-all loop has none of.
     """
     induction = loop_induction_vars(program, loop)
     if use_privatization:

@@ -27,6 +27,7 @@ from typing import Any, Sequence
 from repro.lang.ast_nodes import Program
 from repro.obs.tracing import ensure_tracer
 from repro.patterns.framework import AnalysisContext, AnalysisResult, run_detectors
+from repro.patterns.fusion import fusion_chains
 from repro.patterns.result import TaskParallelism
 from repro.profiling.cache import ProfileCache, cached_profile_runs
 from repro.profiling.hotspots import DEFAULT_THRESHOLD, hotspot_regions
@@ -91,10 +92,11 @@ def analyze_profile(
 
 def primary_pattern(result: AnalysisResult) -> tuple[str, list[int]]:
     """The Table III "Detected Pattern" label and the region(s) in which
-    that pattern was detected."""
+    that pattern was detected (for Fusion, every loop of the first fusion's
+    chain, as the Fusion plan fuses them)."""
     if result.fusions:
-        f = result.fusions[0]
-        return "Fusion", [f.loop_x, f.loop_y]
+        first = result.fusions[0].loop_x
+        return "Fusion", next(c for c in fusion_chains(result.fusions) if first in c)
     clean = result.clean_pipelines()
     if clean:
         return "Multi-loop pipeline", [clean[0].loop_x, clean[0].loop_y]

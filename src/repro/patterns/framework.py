@@ -4,11 +4,12 @@ The paper's workflow (PET hotspots → CU graphs → Section III detectors) is
 expressed here as a pipeline of :class:`Detector` stages held in a
 :class:`DetectorRegistry`.  Each stage reads shared inputs from an
 :class:`AnalysisContext` (which memoizes artifacts several detectors need —
-loop classifications, CU lists, CU graphs, reduction candidates), writes its
-findings into an :class:`AnalysisResult`, and reports *why* candidates were
-accepted or rejected as structured :class:`Evidence` carrying the deciding
-threshold.  Per-stage wall-clock and counters land in an
-:class:`AnalysisTrace` attached to the result.
+loop classifications, CU lists and CU graphs; a loop's classification also
+holds its Algorithm 3 reduction candidates, which nothing else computes),
+writes its findings into an :class:`AnalysisResult`, and reports *why*
+candidates were accepted or rejected as structured :class:`Evidence`
+carrying the deciding threshold.  Per-stage wall-clock and counters land in
+an :class:`AnalysisTrace` attached to the result.
 
 Stages run in registration order; :meth:`DetectorRegistry.register`
 rejects a stage whose ``requires`` names a stage not registered before
@@ -145,9 +146,10 @@ class AnalysisContext:
     """Inputs every detector reads, plus memoized shared artifacts.
 
     Several detectors quote the same sub-analyses — loop classification is
-    needed by the loop-classes stage, both pipeline stages, and geometric
-    decomposition; CU lists/graphs by task parallelism.  The context
-    computes each artifact once and hands out the cached object.
+    needed by the loop-classes stage, both pipeline stages, geometric
+    decomposition and the reductions stage; CU lists/graphs by task
+    parallelism.  The context computes each artifact once and hands out the
+    cached object.
     """
 
     program: Program
@@ -156,9 +158,6 @@ class AnalysisContext:
     hotspot_threshold: float = 0.10
     min_pairs: int = 3
     _loop_classes: dict[int, LoopClass] = field(default_factory=dict, repr=False)
-    _reductions: dict[int, list[ReductionCandidate]] = field(
-        default_factory=dict, repr=False
-    )
     _cus: dict[int, list] = field(default_factory=dict, repr=False)
     _cu_graphs: dict[int, object] = field(default_factory=dict, repr=False)
     _hotspot_regions: set[int] | None = field(default=None, repr=False)
@@ -178,16 +177,6 @@ class AnalysisContext:
             lc = classify_loop(self.program, self.profile, region)
             self._loop_classes[region] = lc
         return lc
-
-    def reductions(self, loop: int) -> list[ReductionCandidate]:
-        """Memoized :func:`repro.patterns.reduction.detect_reductions`."""
-        cached = self._reductions.get(loop)
-        if cached is None:
-            from repro.patterns.reduction import detect_reductions
-
-            cached = detect_reductions(self.program, self.profile, loop)
-            self._reductions[loop] = cached
-        return cached
 
     def cus(self, region: int) -> list:
         """Memoized :func:`repro.cu.detect.detect_cus`."""

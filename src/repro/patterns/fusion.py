@@ -52,6 +52,23 @@ def detect_fusion(pipelines: list[MultiLoopPipeline]) -> list[FusionCandidate]:
     return out
 
 
+def fusion_chains(fusions: list[FusionCandidate]) -> list[list[int]]:
+    """The fused loops, pairs that share a loop merged into one chain:
+    fusing (1, 2) and (2, 3) fuses loops 1, 2 and 3 into one loop.
+
+    A pair that joins an earlier chain moves the merged chain to the end of
+    the list, so find a given pair's chain by membership, not position.
+    """
+    chains: list[list[int]] = []
+    for fusion in fusions:
+        chain = [fusion.loop_x, fusion.loop_y]
+        for other in [c for c in chains if set(c) & set(chain)]:
+            chains.remove(other)
+            chain = other + [r for r in chain if r not in other]
+        chains.append(chain)
+    return chains
+
+
 class FusionDetector(Detector):
     """Stage 3: the ``a=1, b=0`` do-all special case on top of the
     pipeline stage's reports."""

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.patterns.framework import AnalysisResult
+from repro.patterns.engine import primary_pattern
 from repro.patterns.result import SUPPORTING_STRUCTURE
 
 #: Base effort (in "programmer units") of applying each supporting
@@ -76,7 +77,7 @@ def _lines_touched(result: AnalysisResult, label: str) -> int:
 
     regions: list[int] = []
     if label == "Fusion" and result.fusions:
-        regions = [result.fusions[0].loop_x, result.fusions[0].loop_y]
+        regions = primary_pattern(result)[1]  # the Fusion rung: its chain
     elif label == "Multi-loop pipeline" and result.clean_pipelines():
         p = result.clean_pipelines()[0]
         regions = [p.loop_x, p.loop_y]

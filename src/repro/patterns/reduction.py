@@ -20,7 +20,7 @@ has one of the recognizable shapes.
 
 from __future__ import annotations
 
-from repro.lang.analysis import stmt_reads
+from repro.lang.analysis import loop_induction_vars, stmt_reads
 from repro.lang.ast_nodes import (
     Assign,
     BinOp,
@@ -40,20 +40,8 @@ def detect_reductions(
     program: Program, profile: Profile, loop: int
 ) -> list[ReductionCandidate]:
     """Run Algorithm 3 on one loop region; returns candidates in var order."""
-    region = program.regions.get(loop)
-    induction = set()
-    if region is not None and region.node is not None and region.kind == "loop":
-        induction = set(region.node.induction_vars)
-        # Induction variables of loops nested inside are excluded as well —
-        # their back-edge updates are loop bookkeeping, not reductions.
-        inner = [
-            r.node
-            for r in program.regions.values()
-            if r.kind == "loop" and _is_nested_in(program, r.region_id, loop)
-        ]
-        for node in inner:
-            if node is not None:
-                induction |= set(node.induction_vars)
+    # induction variables, nested loops' too, are loop bookkeeping
+    induction = loop_induction_vars(program, loop)
 
     # The paper's pass instruments only the instructions *creating*
     # inter-iteration dependences (Section III-D), so the write/read line
@@ -114,15 +102,6 @@ def detect_reductions(
     return out
 
 
-def _is_nested_in(program: Program, inner: int, outer: int) -> bool:
-    cursor = program.regions.get(inner)
-    while cursor is not None and cursor.parent is not None:
-        if cursor.parent == outer:
-            return True
-        cursor = program.regions.get(cursor.parent)
-    return False
-
-
 def infer_operator(program: Program, line: int, var: str) -> str | None:
     """Identify the reduction operator at *line*, if the shape is recognized.
 
@@ -170,7 +149,8 @@ def _mentions(expr, var: str) -> bool:
 
 
 class ReductionDetector(Detector):
-    """Hotspot-scoped Algorithm 3: reduction candidates per hotspot loop."""
+    """Algorithm 3's candidates per hotspot loop, read from the loop's
+    classification (the only place Algorithm 3 runs)."""
 
     name = "reductions"
 
@@ -182,7 +162,7 @@ class ReductionDetector(Detector):
             if hotspot.kind != "loop":
                 continue
             trace.count("hotspot-loops")
-            candidates = ctx.reductions(hotspot.region)
+            candidates = ctx.loop_class(hotspot.region).reductions
             if candidates:
                 result.reductions[hotspot.region] = candidates
                 trace.count("candidates", len(candidates))

@@ -29,6 +29,7 @@ tolerated schema extension (the key appears only when non-empty).
 
 from __future__ import annotations
 
+from repro.lang.analysis import enclosing_loops
 from repro.lang.ast_nodes import Program
 from repro.patterns.framework import (
     AnalysisContext,
@@ -46,30 +47,14 @@ from repro.patterns.result import WavefrontCandidate
 MIN_WAVEFRONT_R2 = 0.8
 
 
-def _loop_ancestors(program: Program, region: int) -> list[int]:
-    """Enclosing loop region_ids of *region*, innermost first."""
-    out: list[int] = []
-    reg = program.regions.get(region)
-    seen = set()
-    while reg is not None and reg.parent is not None and reg.parent not in seen:
-        seen.add(reg.parent)
-        parent = program.regions.get(reg.parent)
-        if parent is None:
-            break
-        if parent.kind == "loop":
-            out.append(parent.region_id)
-        reg = parent
-    return out
-
-
 def common_carrier(program: Program, loop_x: int, loop_y: int) -> int | None:
     """The innermost loop enclosing both *loop_x* and *loop_y*, if any.
 
     A backward dependence between sibling loops is carried by exactly this
     loop — its iterations are what a wavefront schedule would overlap.
     """
-    ancestors_y = set(_loop_ancestors(program, loop_y))
-    for region in _loop_ancestors(program, loop_x):
+    ancestors_y = set(enclosing_loops(program, loop_y))
+    for region in enclosing_loops(program, loop_x):
         if region in ancestors_y:
             return region
     return None

@@ -16,8 +16,9 @@ measured (DESIGN.md §2):
   budget split across the stages;
 * geometric decomposition — chunk (function invocation) scheduling.
 
-Overall program speedups compose the simulated region times with the
-unparallelized remainder (Amdahl).  :func:`sweep_pattern` reproduces the
+Each simulator reads its thread count from ``machine.threads``
+(:meth:`Machine.with_threads`).  Overall program speedups compose the
+simulated region times with the unparallelized remainder (Amdahl).  :func:`sweep_pattern` reproduces the
 paper's 1–32 thread sweeps: it plans a pattern once and replays the
 schedule at each thread count.
 """

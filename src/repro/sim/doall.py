@@ -43,7 +43,6 @@ def _invocation_time(
 def simulate_doall(
     invocations: Sequence[Sequence[float]],
     machine: Machine,
-    threads: int | None = None,
     streaming: float = 0.0,
 ) -> SimOutcome:
     """Simulate a do-all loop.
@@ -53,7 +52,7 @@ def simulate_doall(
     joins at a barrier — overheads therefore scale with invocation count,
     which is what penalizes fine-grained inner loops at high thread counts.
     """
-    p = machine.threads if threads is None else threads
+    p = machine.threads
     if p < 1:
         raise SimulationError("thread count must be >= 1")
     serial = float(sum(sum(inv) for inv in invocations))
@@ -66,14 +65,13 @@ def simulate_doall(
 def simulate_reduction(
     invocations: Sequence[Sequence[float]],
     machine: Machine,
-    threads: int | None = None,
     n_reduction_vars: int = 1,
     streaming: float = 0.0,
 ) -> SimOutcome:
     """Simulate a reduction loop: do-all with privatized accumulators plus a
     tree combine of depth ``ceil(log2 P)`` per invocation."""
-    p = machine.threads if threads is None else threads
-    base = simulate_doall(invocations, machine, threads=p, streaming=streaming)
+    p = machine.threads
+    base = simulate_doall(invocations, machine, streaming=streaming)
     if p == 1:
         return base
     combine = (

@@ -18,11 +18,10 @@ from repro.sim.result import SimOutcome
 def simulate_geometric(
     chunk_costs: Sequence[float],
     machine: Machine,
-    threads: int | None = None,
     streaming: float = 0.0,
 ) -> SimOutcome:
     """Schedule one function call per chunk across the thread pool."""
-    p = machine.threads if threads is None else threads
+    p = machine.threads
     if p < 1:
         raise SimulationError("thread count must be >= 1")
     serial = float(sum(chunk_costs))

@@ -43,7 +43,6 @@ def simulate_pipeline_chain(
     stage_costs: Sequence[Sequence[float]],
     fits: Sequence[tuple[float, float]],
     machine: Machine,
-    threads: int | None = None,
     stage0_parallel: bool = True,
     streaming: float = 0.0,
 ) -> SimOutcome:
@@ -59,7 +58,7 @@ def simulate_pipeline_chain(
     one to each downstream stage); stages 1..n-1 consume sequentially, each
     iteration waiting for its fitted dependence in the previous stage.
     """
-    p = machine.threads if threads is None else threads
+    p = machine.threads
     if p < 1:
         raise SimulationError("thread count must be >= 1")
     if len(stage_costs) < 2 or len(fits) != len(stage_costs) - 1:
@@ -109,20 +108,18 @@ def simulate_pipeline_invocations(
     a: float,
     b: float,
     machine: Machine,
-    threads: int | None = None,
     stage_x_parallel: bool = True,
     streaming: float = 0.0,
 ) -> SimOutcome:
     """Sum the pipeline simulation over repeated co-invocations (e.g. the
     per-frame loop pairs of fluidanimate)."""
-    p = machine.threads if threads is None else threads
+    p = machine.threads
     total = SimOutcome(threads=p, serial_time=0.0, parallel_time=0.0)
     for cx, cy in invocations:
         total = total + simulate_pipeline_chain(
             [cx, cy],
             [(a, b)],
             machine,
-            threads=p,
             stage0_parallel=stage_x_parallel,
             streaming=streaming,
         )

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.cu.model import CU
+from repro.lang.analysis import array_names, enclosing_loops
 from repro.patterns.engine import primary_pattern, region_share
 from repro.patterns.framework import AnalysisResult
+from repro.patterns.fusion import fusion_chains
 from repro.patterns.result import MultiLoopPipeline, TaskParallelism
 from repro.profiling.model import Profile
 from repro.sim.amdahl import compose_speedup
@@ -96,23 +98,10 @@ def _max_depth(profile: Profile, region: int) -> int:
 Schedule = Callable[[Machine], list[SimOutcome]]
 
 
-def _fusion_chains(result: AnalysisResult) -> list[list[int]]:
-    """The fused loops, pairs that share a loop merged into one chain:
-    fusing (1, 2) and (2, 3) fuses loops 1, 2 and 3 into one loop."""
-    chains: list[list[int]] = []
-    for fusion in result.fusions:
-        chain = [fusion.loop_x, fusion.loop_y]
-        for other in [c for c in chains if set(c) & set(chain)]:
-            chains.remove(other)
-            chain = other + [r for r in chain if r not in other]
-        chains.append(chain)
-    return chains
-
-
 def _plan_fusion(result: AnalysisResult) -> Schedule:
     sf = result.profile.streaming_fraction
     fused: list[list[list[float]]] = []
-    for chain in _fusion_chains(result):
+    for chain in fusion_chains(result.fusions):
         # The fused loop's iteration i runs iteration i of every loop in
         # the chain; a longer loop's ragged tail runs on alone.
         combined: list[list[float]] = []
@@ -224,16 +213,14 @@ def _plan_tasks(result: AnalysisResult) -> Schedule:
 
         def rounds(m: Machine) -> list[SimOutcome]:
             threads = m.threads
-            per_worker_threads = max(1, threads // len(workers))
+            per_worker = m.with_threads(max(1, threads // len(workers)))
             serial = 0.0
             parallel = 0.0
             for t in range(n_rounds):
                 times = []
                 for invs, simulate in workers:
                     if t < len(invs):
-                        sim = simulate(
-                            [invs[t]], m, threads=per_worker_threads, streaming=sf
-                        )
+                        sim = simulate([invs[t]], per_worker, streaming=sf)
                         serial += sim.serial_time
                         times.append(sim.parallel_time)
                 phase1 = _fullest_lane(times, threads)
@@ -324,20 +311,14 @@ def _plan_reduction(result: AnalysisResult) -> Schedule | None:
     #    (gesummv: inner accumulation, outer rows independent), the natural
     #    implementation is a parallel-for on the *outermost* such ancestor
     #    with the accumulators private per iteration.
-    regions = result.program.regions
     target: int | None = None
-    cursor = regions[loop].parent if loop in regions else None
-    while cursor is not None:
-        lc_cursor = result.loop_classes.get(cursor)
-        if (
-            lc_cursor is not None
-            and lc_cursor.is_doall
-            and cursor in result.hotspot_regions
-        ):
-            target = cursor
-            cursor = regions[cursor].parent if cursor in regions else None
-        else:
+    for outer in enclosing_loops(result.program, loop):
+        lc_outer = result.loop_classes.get(outer)
+        if lc_outer is None or not lc_outer.is_doall:
             break
+        if outer not in result.hotspot_regions:
+            break
+        target = outer
     if target is not None:
         invs = loop_invocation_costs(result.profile, target)
         return lambda m: [simulate_doall(invs, m, streaming=sf)]
@@ -345,8 +326,6 @@ def _plan_reduction(result: AnalysisResult) -> Schedule | None:
     # 2. Otherwise simulate the reduction loop itself.  Array reduction
     #    variables (bicg's s[]) are privatized per thread and combined
     #    element-wise, so the combine cost scales with the array extent.
-    from repro.lang.analysis import array_names
-
     arrays = array_names(result.program)
     combine_units = 0
     for cand in lc.reductions:

@@ -15,7 +15,6 @@ def simulate_task_graph(
     graph: DiGraph,
     weights: dict[Hashable, float],
     machine: Machine,
-    threads: int | None = None,
 ) -> SimOutcome:
     """Event-driven greedy list scheduling of a task DAG on P workers.
 
@@ -24,7 +23,7 @@ def simulate_task_graph(
     workers in serial order, paying ``spawn_cost`` each; the makespan plus
     one final barrier is the parallel time.
     """
-    p = machine.threads if threads is None else threads
+    p = machine.threads
     if p < 1:
         raise SimulationError("thread count must be >= 1")
     nodes = graph.nodes()
@@ -63,7 +62,6 @@ def simulate_recursive_tasks(
     span: float,
     n_tasks: int,
     machine: Machine,
-    threads: int | None = None,
     streaming: float = 0.0,
 ) -> SimOutcome:
     """Greedy-scheduler model for recursive task trees (fib/sort/strassen).
@@ -73,7 +71,7 @@ def simulate_recursive_tasks(
     work-stealing runtime only pays a full spawn on the steal path, whose
     count is O(P·D) and folded into the barrier/span terms).
     """
-    p = machine.threads if threads is None else threads
+    p = machine.threads
     if p < 1:
         raise SimulationError("thread count must be >= 1")
     if p == 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.patterns.engine import _workers_are_doall_loops
 from repro.patterns.framework import AnalysisResult
+from repro.patterns.fusion import fusion_chains
 
 
 def summarize_patterns(result: AnalysisResult) -> str:
@@ -56,8 +57,10 @@ def primary_pattern_regions(result: AnalysisResult) -> list[int]:
     """The region(s) in which the primary pattern was detected."""
     label = summarize_patterns(result)
     if label == "Fusion" and result.fusions:
-        f = result.fusions[0]
-        return [f.loop_x, f.loop_y]
+        first = result.fusions[0].loop_x
+        for chain in fusion_chains(result.fusions):
+            if first in chain:
+                return chain
     if label == "Multi-loop pipeline":
         clean = result.clean_pipelines()
         if clean:

@@ -191,7 +191,6 @@ class TestContextMemoization:
         ctx = _context(REDUCTION_SRC, "total", [np.ones(16), 16])
         region = next(iter(ctx.profile.loop_trips))
         assert ctx.loop_class(region) is ctx.loop_class(region)
-        assert ctx.reductions(region) is ctx.reductions(region)
         hot = ctx.hotspots[0].region
         assert ctx.cus(hot) is ctx.cus(hot)
         assert ctx.cu_graph(hot) is ctx.cu_graph(hot)

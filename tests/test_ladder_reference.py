@@ -10,7 +10,14 @@ regions and "Exec Inst % in Hotspot" share from both, and
 Inputs: the 17 registry programs, an adversarial corpus draw, and the
 results ``test_summary_precedence.py`` grafts onto each rung (through
 :func:`assert_matches_reference`).
+
+A Fusion label's regions are the loops the Fusion plan fuses: for every
+program ``sim_golden.json`` labels Fusion, the regions are exactly the
+loops whose costs the plan reads.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +34,17 @@ from repro.patterns.engine import (
     summarize_patterns,
 )
 from repro.service.jobs import build_call_args
-from repro.sim import plan_and_simulate
+from repro.sim import plan_and_simulate, planner
 
 _CORPUS = generate_programs(count=200, seed=7, adversarial=True)
+
+_SIM = json.loads(Path(__file__).with_name("sim_golden.json").read_text())
+_FUSION_KEYS = [
+    (section, key)
+    for section, entries in sorted(_SIM.items())
+    for key, entry in entries.items()
+    if entry["label"] == "Fusion"
+]
 
 
 def assert_matches_reference(result):
@@ -54,9 +69,31 @@ def test_registry_program(spec):
     "idx", range(len(_CORPUS)), ids=lambda idx: f"{idx}-{_CORPUS[idx].template}"
 )
 def test_corpus_program(idx):
+    assert_matches_reference(_analyze_corpus_program(idx))
+
+
+def _analyze_corpus_program(idx):
     tp = _CORPUS[idx]
     program = parse_program(tp.source)
     validate_program(program)
-    assert_matches_reference(
-        analyze(program, tp.entry, [build_call_args(tp.arg_specs, seed=0)])
-    )
+    return analyze(program, tp.entry, [build_call_args(tp.arg_specs, seed=0)])
+
+
+@pytest.mark.parametrize("section,key", _FUSION_KEYS, ids=lambda v: v)
+def test_fusion_regions_are_the_loops_the_plan_fuses(section, key, monkeypatch):
+    if section == "registry":
+        result = analyze_benchmark(key)
+    else:
+        result = _analyze_corpus_program(int(key.split("-")[0]))
+    fused: list[int] = []
+    read_costs = planner.loop_invocation_costs
+
+    def recording(profile, loop):
+        fused.append(loop)
+        return read_costs(profile, loop)
+
+    monkeypatch.setattr(planner, "loop_invocation_costs", recording)
+    label, regions = primary_pattern(result)
+    planner.sweep_pattern(result, label, thread_counts=())
+    assert label == "Fusion"
+    assert sorted(regions) == sorted(fused)

@@ -3,18 +3,18 @@
 from repro.lang.analysis import (
     array_names,
     called_functions,
+    enclosing_loops,
     expr_reads,
     function_loops,
     is_recursive,
-    loop_nests,
-    max_loop_depth,
+    loop_induction_vars,
+    non_escaping_names,
     source_loc,
     stmt_calls,
     stmt_declares,
     stmt_lines,
     stmt_reads,
     stmt_writes,
-    top_level_loops,
 )
 from repro.lang.parser import parse_program
 
@@ -84,20 +84,39 @@ class TestStructure:
         assert len(loops) == 2
         assert loops[0].line < loops[1].line
 
-    def test_top_level_loops_skips_nested(self):
-        tl = top_level_loops(prog().function("work").body)
-        assert len(tl) == 1
+    def test_enclosing_loops_innermost_first(self):
+        p = prog()
+        outer, inner = (loop.region_id for loop in function_loops(p.function("work")))
+        assert enclosing_loops(p, inner) == [outer]
+        assert enclosing_loops(p, outer) == []
+        assert enclosing_loops(p, p.function("work").region_id) == []
+        assert enclosing_loops(p, 10_000) == []
 
-    def test_loop_nests_depth(self):
-        nests = loop_nests(prog().function("work").body)
-        assert len(nests) == 1
-        assert nests[0].depth == 0
-        assert nests[0].inner[0].depth == 1
-        assert len(nests[0].flat()) == 2
+    def test_enclosing_loops_three_deep(self):
+        p = parse_program(
+            "void f(int A[], int n) {\n"
+            "  for (int i = 0; i < n; i++) {\n"
+            "    if (i > 0) { for (int j = 0; j < n; j++) {\n"
+            "      for (int k = 0; k < n; k++) { A[k] = j; } } }\n"
+            "  }\n"
+            "}\n"
+        )
+        i, j, k = (loop.region_id for loop in function_loops(p.function("f")))
+        assert enclosing_loops(p, k) == [j, i]
 
-    def test_max_loop_depth(self):
-        assert max_loop_depth(prog().function("work")) == 2
-        assert max_loop_depth(prog().function("helper")) == 0
+    def test_loop_induction_vars_cover_nested_loops(self):
+        p = prog()
+        outer, inner = (loop.region_id for loop in function_loops(p.function("work")))
+        assert loop_induction_vars(p, outer) == {"i", "j"}
+        assert loop_induction_vars(p, inner) == {"j"}
+        assert loop_induction_vars(p, p.function("helper").region_id) == set()
+        assert loop_induction_vars(p, 10_000) == set()
+
+    def test_non_escaping_names(self):
+        p = prog()
+        outer = function_loops(p.function("work"))[0].region_id
+        # n is a by-value scalar; A (array parameter) and g (global) escape
+        assert non_escaping_names(p, outer) == {"n", "acc", "i", "t", "j"}
 
     def test_stmt_lines_cover_nested(self):
         loop = prog().function("work").body[1]

@@ -104,17 +104,17 @@ class TestHoldoutSplit:
 
 
 class TestModel:
-    @pytest.fixture(scope="class", params=["logistic", "tree"])
+    @pytest.fixture(scope="class", params=["logistic"])
     def model(self, request, features_doc):
-        return train_model(
-            features_doc["programs"], kind=request.param, seed=7,
-            trained_on={"corpus": "test"},
+        model = train_model(
+            features_doc["programs"], seed=7, trained_on={"corpus": "test"}
         )
+        assert model.kind == request.param
+        return model
 
     def test_training_is_byte_deterministic(self, features_doc, model):
         again = train_model(
-            features_doc["programs"], kind=model.kind, seed=7,
-            trained_on={"corpus": "test"},
+            features_doc["programs"], seed=7, trained_on={"corpus": "test"}
         )
         assert again.to_json() == model.to_json()
         assert again.model_digest == model.model_digest
@@ -154,15 +154,20 @@ class TestModel:
             stale.predict({name: 0.0 for name in FEATURE_NAMES})
 
     def test_unknown_kind_rejected(self, features_doc):
+        model = train_model(
+            features_doc["programs"], seed=0, trained_on={"corpus": "test"}
+        )
+        doc = json.loads(model.to_json())
+        doc["model"] = "tree"
+        doc["model_digest"] = model_digest(doc)
         with pytest.raises(ValueError, match="kind"):
-            train_model(features_doc["programs"], kind="forest", seed=0,
-                        trained_on={})
+            validate_model_record(doc)
 
 
 class TestEvaluate:
     @pytest.fixture(scope="class")
     def doc(self, suite):
-        return evaluate_corpus(suite, kind="logistic", seed=7)
+        return evaluate_corpus(suite, seed=7)
 
     def test_document_shape(self, suite, doc):
         assert doc["record"] == "learn_eval"
@@ -182,13 +187,11 @@ class TestEvaluate:
                 assert cell["tp"] + cell["fp"] + cell["fn"] + cell["tn"] == held
 
     def test_eval_is_byte_deterministic(self, suite, doc):
-        again = evaluate_corpus(suite, kind="logistic", seed=7)
+        again = evaluate_corpus(suite, seed=7)
         assert canonical_json(again) == canonical_json(doc)
 
     def test_train_on_corpus_matches_the_eval_models_digest(self, suite, doc):
-        model = train_on_corpus(
-            suite, kind="logistic", seed=7, holdout=DEFAULT_HOLDOUT
-        )
+        model = train_on_corpus(suite, seed=7, holdout=DEFAULT_HOLDOUT)
         assert model.model_digest == doc["model_digest"]
 
     def test_renderers(self, doc):
@@ -231,10 +234,10 @@ class TestCli:
                                               capsys):
         out = tmp_path / "model.json"
         assert cli_main(["learn", "train", str(corpus_dir), "--no-cache",
-                         "--model", "tree", "--out", str(out)]) == 0
+                         "--out", str(out)]) == 0
         assert "digest" in capsys.readouterr().out
         model = LearnedModel.load(out)
-        assert model.kind == "tree"
+        assert model.kind == "logistic"
         validate_model_record(model.doc)
 
     def test_eval_emits_json_document(self, corpus_dir, capsys):

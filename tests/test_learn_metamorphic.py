@@ -85,13 +85,12 @@ def test_predictions_invariant_under_all_transforms():
             {"name": f"p{index}", "features": base, "truth": tp.truth}
         )
         cases.append((tp, base))
-    for kind in ("logistic", "tree"):
-        model = train_model(rows, kind=kind, seed=3, trained_on={})
-        for tp, base in cases:
-            expected = model.predict(base)
-            for name, transform in sorted(TRANSFORMS.items()):
-                variant = transform(tp.source, random.Random(5))
-                feats = _features(variant, tp.entry, tp.arg_specs)
-                assert model.predict(feats) == expected, (
-                    f"{kind} verdict moved under {name} for {tp.template}"
-                )
+    model = train_model(rows, seed=3, trained_on={})
+    for tp, base in cases:
+        expected = model.predict(base)
+        for name, transform in sorted(TRANSFORMS.items()):
+            variant = transform(tp.source, random.Random(5))
+            feats = _features(variant, tp.entry, tp.arg_specs)
+            assert model.predict(feats) == expected, (
+                f"verdict moved under {name} for {tp.template}"
+            )

@@ -11,13 +11,15 @@ distinct element addresses.
 Inputs: an adversarial corpus draw covering all ten templates, the seeded
 programs of ``test_compile_engine.py``, every registry program (the
 recursive ones exercise the memos under activation churn, the loop kernels
-the cross-stack memos that outlive their activations), and hand cases for
-each rule that keeps a cross-stack memo valid.
+the cross-stack memos that outlive their activations), hand cases for
+each rule that keeps a cross-stack memo valid, and a seeded draw of
+``fold_shapes`` programs that vary three of those hand cases.
 """
 
 import numpy as np
 import pytest
 
+from fold_shapes import generate_shapes
 from reference_fold import ReferenceFold
 from test_compile_engine import _compile, _generated_cases
 
@@ -60,6 +62,17 @@ def test_generated_program_matches_reference(idx, source):
     n = 10
     args = [np.arange(-n // 2, n - n // 2, dtype=np.int64), np.zeros(n, dtype=np.int64), n]
     _assert_matches_reference(_compile(source), "f", args)
+
+
+_SHAPES = generate_shapes(90, seed=0)
+
+
+@pytest.mark.parametrize(
+    "idx", range(len(_SHAPES)), ids=lambda idx: f"{idx}-{_SHAPES[idx].shape}"
+)
+def test_fold_shape_matches_reference(idx):
+    shape = _SHAPES[idx]
+    _assert_matches_reference(_compile(shape.source), shape.entry, shape.args)
 
 
 _RECURSIVE = ("fib", "sort", "strassen", "nqueens")

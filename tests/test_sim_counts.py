@@ -4,10 +4,11 @@ A warm pass is Table III's per-program work once the profile cache holds
 every profile: ``bench_outcome`` for each of the 17 registry programs.  The
 simulation layer reads each analysis once per pattern plan, not once per
 thread count, so the detection gates (``clean_pipelines``,
-``best_task_parallelism``), the precedence ladder (``primary_pattern``) and
+``best_task_parallelism``), the precedence ladder (``primary_pattern``),
 the profile readers (``pipeline_co_invocations``, ``loop_invocation_costs``)
-run a fixed number of times per pass.  The counts are exact: a change that
-moves one on purpose updates this pin.
+and Algorithm 3 (``detect_reductions``) run a fixed number of times per
+pass.  The counts are exact: a change that moves one on purpose updates
+this pin.
 """
 
 import sys
@@ -15,6 +16,7 @@ import sys
 from repro.bench_programs.registry import all_benchmarks, analyze_benchmark
 from repro.patterns import engine
 from repro.patterns.framework import AnalysisResult
+from repro.patterns.reduction import detect_reductions
 from repro.profiling.cache import ProfileCache, profile_cache_key
 from repro.runtime.parallel import bench_outcome
 from repro.sim import planner
@@ -25,18 +27,22 @@ _COUNTED = {
     "primary_pattern": engine.primary_pattern,
     "pipeline_co_invocations": planner.pipeline_co_invocations,
     "loop_invocation_costs": planner.loop_invocation_costs,
+    "detect_reductions": detect_reductions,
 }
 
 # The ladder walks once per program: it runs the pipeline gate for the 14
 # programs without a fusion and the task gate for the 11 without a clean
 # pipeline either.  The plans of the 3 pipeline and 6 task programs run
 # their own gate once, and every plan reads each loop's costs once.
+# Algorithm 3 runs only inside loop classification, once per loop that is
+# not do-all.
 PINNED = {
     "clean_pipelines": 17,
     "best_task_parallelism": 17,
     "primary_pattern": 17,
     "pipeline_co_invocations": 3,
     "loop_invocation_costs": 17,
+    "detect_reductions": 37,
 }
 
 

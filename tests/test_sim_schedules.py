@@ -51,25 +51,25 @@ class TestMachine:
 
 class TestDoAll:
     def test_single_thread_is_serial(self):
-        out = simulate_doall([[10.0] * 8], M, threads=1)
+        out = simulate_doall([[10.0] * 8], M.with_threads(1))
         assert out.speedup == 1.0
 
     def test_balanced_loop_scales(self):
-        out = simulate_doall([[100.0] * 64], M, threads=8)
+        out = simulate_doall([[100.0] * 64], M.with_threads(8))
         assert 4.0 < out.speedup <= 8.0
 
     def test_imbalanced_block_limits(self):
         costs = [1.0] * 63 + [1000.0]
-        out = simulate_doall([costs], M, threads=8)
+        out = simulate_doall([costs], M.with_threads(8))
         assert out.parallel_time >= 1000.0
 
     def test_many_invocations_pay_many_barriers(self):
-        one = simulate_doall([[10.0] * 64], M, threads=8)
-        many = simulate_doall([[10.0] * 8] * 8, M, threads=8)
+        one = simulate_doall([[10.0] * 64], M.with_threads(8))
+        many = simulate_doall([[10.0] * 8] * 8, M.with_threads(8))
         assert many.parallel_time > one.parallel_time
 
     def test_serial_time_is_total_work(self):
-        out = simulate_doall([[3.0, 4.0], [5.0]], M, threads=4)
+        out = simulate_doall([[3.0, 4.0], [5.0]], M.with_threads(4))
         assert out.serial_time == 12.0
 
     @given(
@@ -79,23 +79,23 @@ class TestDoAll:
     )
     @settings(max_examples=60, deadline=None)
     def test_speedup_never_exceeds_threads(self, n, cost, p):
-        out = simulate_doall([[cost] * n], M, threads=p)
+        out = simulate_doall([[cost] * n], M.with_threads(p))
         assert out.speedup <= p + 1e-9
 
 
 class TestReduction:
     def test_combine_cost_added(self):
-        base = simulate_doall([[50.0] * 32], M, threads=8)
-        red = simulate_reduction([[50.0] * 32], M, threads=8)
+        base = simulate_doall([[50.0] * 32], M.with_threads(8))
+        red = simulate_reduction([[50.0] * 32], M.with_threads(8))
         assert red.parallel_time > base.parallel_time
 
     def test_array_combine_scales_with_elements(self):
-        small = simulate_reduction([[50.0] * 32], M, threads=8, n_reduction_vars=1)
-        big = simulate_reduction([[50.0] * 32], M, threads=8, n_reduction_vars=64)
+        small = simulate_reduction([[50.0] * 32], M.with_threads(8), n_reduction_vars=1)
+        big = simulate_reduction([[50.0] * 32], M.with_threads(8), n_reduction_vars=64)
         assert big.parallel_time > small.parallel_time
 
     def test_single_thread_no_combine(self):
-        out = simulate_reduction([[50.0] * 32], M, threads=1)
+        out = simulate_reduction([[50.0] * 32], M.with_threads(1))
         assert out.speedup == 1.0
 
 
@@ -110,44 +110,44 @@ class TestTaskGraph:
 
     def test_chain_cannot_speed_up(self):
         g = self.graph([(0, 1), (1, 2)], 3)
-        out = simulate_task_graph(g, {0: 100.0, 1: 100.0, 2: 100.0}, M, threads=4)
+        out = simulate_task_graph(g, {0: 100.0, 1: 100.0, 2: 100.0}, M.with_threads(4))
         assert out.speedup < 1.0  # overheads only
 
     def test_independent_tasks_scale(self):
         g = self.graph([], 8)
-        out = simulate_task_graph(g, {i: 1000.0 for i in range(8)}, M, threads=8)
+        out = simulate_task_graph(g, {i: 1000.0 for i in range(8)}, M.with_threads(8))
         assert out.speedup > 4.0
 
     def test_diamond_respects_dependences(self):
         g = self.graph([(0, 1), (0, 2), (1, 3), (2, 3)], 4)
         w = {0: 10.0, 1: 100.0, 2: 100.0, 3: 10.0}
-        out = simulate_task_graph(g, w, M, threads=4)
+        out = simulate_task_graph(g, w, M.with_threads(4))
         # lower bound: critical path 0 -> worker -> 3
         assert out.parallel_time >= 120.0
 
     def test_single_thread_serial(self):
         g = self.graph([], 4)
-        out = simulate_task_graph(g, {i: 10.0 for i in range(4)}, M, threads=1)
+        out = simulate_task_graph(g, {i: 10.0 for i in range(4)}, M.with_threads(1))
         assert out.parallel_time == out.serial_time
 
 
 class TestRecursiveTasks:
     def test_brent_bound_shape(self):
         out = simulate_recursive_tasks(
-            work=100_000.0, span=1_000.0, n_tasks=100, machine=M, threads=8
+            work=100_000.0, span=1_000.0, n_tasks=100, machine=M.with_threads(8)
         )
         assert out.parallel_time >= 100_000.0 / 8
         assert out.parallel_time >= 1_000.0
 
     def test_span_dominates_at_high_threads(self):
         out = simulate_recursive_tasks(
-            work=10_000.0, span=5_000.0, n_tasks=10, machine=M, threads=32
+            work=10_000.0, span=5_000.0, n_tasks=10, machine=M.with_threads(32)
         )
         assert out.speedup < 2.1
 
     def test_task_overhead_charged(self):
-        few = simulate_recursive_tasks(10_000.0, 10.0, 10, M, threads=4)
-        many = simulate_recursive_tasks(10_000.0, 10.0, 10_000, M, threads=4)
+        few = simulate_recursive_tasks(10_000.0, 10.0, 10, M.with_threads(4))
+        many = simulate_recursive_tasks(10_000.0, 10.0, 10_000, M.with_threads(4))
         assert many.parallel_time > few.parallel_time
 
 
@@ -155,7 +155,7 @@ class TestPipeline:
     def test_perfect_pipeline_overlaps(self):
         cx = [100.0] * 20
         cy = [10.0] * 20
-        out = simulate_pipeline_chain([cx, cy], [(1.0, 0.0)], M, threads=8)
+        out = simulate_pipeline_chain([cx, cy], [(1.0, 0.0)], M.with_threads(8))
         # stage 1 parallelized over 7 threads; y trails slightly
         assert out.speedup > 3.0
 
@@ -163,7 +163,7 @@ class TestPipeline:
         cx = [100.0] * 20
         cy = [100.0] * 20
         out = simulate_pipeline_chain(
-            [cx, cy], [(1.0, 0.0)], M, threads=8, stage0_parallel=False
+            [cx, cy], [(1.0, 0.0)], M.with_threads(8), stage0_parallel=False
         )
         assert out.speedup < 2.1
 
@@ -172,33 +172,33 @@ class TestPipeline:
         cy = [100.0] * 20
         # b = -20: y's first iteration needs x's last
         out = simulate_pipeline_chain(
-            [cx, cy], [(1.0, -20.0)], M, threads=4, stage0_parallel=False
+            [cx, cy], [(1.0, -20.0)], M.with_threads(4), stage0_parallel=False
         )
         assert out.speedup < 1.1
 
     def test_single_thread_serial(self):
         out = simulate_pipeline_chain(
-            [[10.0] * 4, [10.0] * 4], [(1.0, 0.0)], M, threads=1
+            [[10.0] * 4, [10.0] * 4], [(1.0, 0.0)], M.with_threads(1)
         )
         assert out.parallel_time == out.serial_time
 
     def test_empty_stage(self):
-        out = simulate_pipeline_chain([[], [10.0]], [(1.0, 0.0)], M, threads=4)
+        out = simulate_pipeline_chain([[], [10.0]], [(1.0, 0.0)], M.with_threads(4))
         assert out.speedup == 1.0
 
 
 class TestGeometric:
     def test_chunks_limit_parallelism(self):
-        out = simulate_geometric([1000.0] * 4, M, threads=32)
+        out = simulate_geometric([1000.0] * 4, M.with_threads(32))
         assert out.speedup <= 4.0
 
     def test_lpt_handles_imbalance(self):
-        out = simulate_geometric([800.0, 100.0, 100.0, 100.0, 100.0], M, threads=4)
+        out = simulate_geometric([800.0, 100.0, 100.0, 100.0, 100.0], M.with_threads(4))
         assert out.parallel_time >= 800.0
         assert out.speedup > 1.2
 
     def test_single_chunk_serial(self):
-        out = simulate_geometric([500.0], M, threads=8)
+        out = simulate_geometric([500.0], M.with_threads(8))
         assert out.speedup == 1.0
 
 
