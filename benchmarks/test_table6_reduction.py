@@ -23,6 +23,7 @@ from repro.bench_programs.synthetic import (
     sum_module_args,
 )
 from repro.patterns.engine import analyze
+from repro.patterns.reduction import reduction_found
 from repro.reporting.tables import format_table
 
 BENCH_NAMES = ("nqueens", "kmeans", "bicg", "gesummv")
@@ -53,13 +54,7 @@ def programs():
 def dynamic_results(programs):
     out = {}
     for name in BENCH_NAMES:
-        result = analyze_benchmark(name)
-        found = any(
-            result.loop_classes.get(loop) is not None
-            and (result.reductions.get(loop) or result.loop_classes[loop].reductions)
-            for loop in result.loop_classes
-        ) or bool(result.reductions)
-        out[name] = "found" if found else "missed"
+        out[name] = "found" if reduction_found(analyze_benchmark(name)) else "missed"
     out["sum_local"] = _dynamic_synthetic(programs["sum_local"], "sum_local", sum_local_args())
     out["sum_module"] = _dynamic_synthetic(programs["sum_module"], "sum_module", sum_module_args())
     return out
@@ -67,10 +62,7 @@ def dynamic_results(programs):
 
 def _dynamic_synthetic(program, entry, arg_sets):
     result = analyze(program, entry, arg_sets, hotspot_threshold=0.05)
-    any_reduction = bool(result.reductions) or any(
-        lc.reductions for lc in result.loop_classes.values()
-    )
-    return "found" if any_reduction else "missed"
+    return "found" if reduction_found(result) else "missed"
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from repro.lang.ast_nodes import (
     ArrayLV,
     Assign,
     BinOp,
-    Call,
     For,
     Function,
     Program,

@@ -19,17 +19,14 @@ from repro.lang.ast_nodes import (
     Expr,
     ExprStmt,
     For,
-    Function,
     If,
     Program,
     Return,
     Stmt,
     VarDecl,
-    VarLV,
     VarRef,
     While,
     walk_exprs,
-    stmt_exprs,
 )
 from repro.runtime.intrinsics import INTRINSICS
 

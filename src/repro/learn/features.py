@@ -643,35 +643,37 @@ def _features_worker(payload: tuple[Any, str | None]) -> tuple[str, dict[str, fl
     return entry.name, features_for_entry(entry, cache=cache)
 
 
-def corpus_features(
-    suite,
-    cache=None,
-    parallel: bool = False,
-    max_workers: int | None = None,
-) -> dict[str, Any]:
+def corpus_features(suite, cache=None, parallel: bool = False) -> dict[str, Any]:
     """Feature vectors for every entry of a corpus, as a versioned document.
 
     With *parallel*, extraction fans out over a process pool; results are
     joined by program name back into generation order, so the document is
     byte-identical to a serial run (the determinism regression asserts
-    this).
+    this).  When the pool cannot start its workers or a worker dies, the
+    entries it did not finish are extracted serially; an extraction's own
+    error propagates, as in a serial run.
     """
     rows: dict[str, dict[str, float]] = {}
     if parallel and len(suite.entries) > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         cache_dir = getattr(cache, "root", None)
         payloads = [
             (entry, str(cache_dir) if cache_dir else None) for entry in suite.entries
         ]
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                for name, features in pool.map(_features_worker, payloads):
+        with ProcessPoolExecutor() as pool:
+            try:
+                finished = pool.map(_features_worker, payloads)  # starts the workers
+            except OSError:
+                finished = iter(())
+            try:
+                for name, features in finished:
                     rows[name] = features
-        except (OSError, RuntimeError):
-            rows = {}  # fall back to serial below
-    if not rows:
-        for entry in suite.entries:
+            except BrokenProcessPool:  # a worker died: the rest run below
+                pass
+    for entry in suite.entries:
+        if entry.name not in rows:
             rows[entry.name] = features_for_entry(entry, cache=cache)
     from repro.patterns.schema import SCHEMA_VERSION
 

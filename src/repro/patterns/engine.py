@@ -7,14 +7,18 @@ The detectors are the stages of
 :func:`repro.patterns.framework.default_registry`;
 :func:`repro.patterns.framework.run_detectors` runs any other registry.
 
-``primary_pattern`` is Table III's precedence ladder, walked once: it
-condenses an :class:`AnalysisResult` into the "Detected Pattern" label and
-the region(s) the pattern was found in, using the precedence the paper's
-evaluation section exhibits (fusion ≻ multi-loop pipeline ≻ task
-parallelism ≻ geometric decomposition ≻ reduction ≻ do-all).
-``summarize_patterns`` reads its label; ``region_share`` turns its regions
-into the "Exec Inst % in Hotspot" column, which
-:func:`repro.sim.planner.plan_and_simulate` reports from the same walk.
+Table III's precedence ladder is the rung list :data:`RUNGS`, in the
+precedence the paper's evaluation section exhibits (fusion ≻ multi-loop
+pipeline ≻ task parallelism ≻ geometric decomposition ≻ reduction ≻
+do-all).  Each rung returns its pattern's label and the region(s) the
+pattern was found in, or ``None``: the rungs are the only code that decides
+where a pattern sits.  ``primary_pattern`` takes the first rung that
+applies; ``summarize_patterns`` reads its label, and ``region_share`` turns
+its regions into the "Exec Inst % in Hotspot" column, which
+:func:`repro.sim.planner.plan_and_simulate` reports beside the simulated
+speedup of the same regions.  ``applicable_patterns`` yields every rung
+that applies, the options :func:`repro.patterns.ranking.rank_patterns`
+ranks.
 
 The thresholds and :class:`AnalysisResult` itself live in
 :mod:`repro.patterns.framework`.
@@ -22,7 +26,7 @@ The thresholds and :class:`AnalysisResult` itself live in
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.lang.ast_nodes import Program
 from repro.obs.tracing import ensure_tracer
@@ -36,6 +40,7 @@ from repro.profiling.model import Profile
 __all__ = [
     "analyze",
     "analyze_profile",
+    "applicable_patterns",
     "primary_pattern",
     "summarize_patterns",
     "region_share",
@@ -90,49 +95,97 @@ def analyze_profile(
     return run_detectors(ctx)
 
 
-def primary_pattern(result: AnalysisResult) -> tuple[str, list[int]]:
-    """The Table III "Detected Pattern" label and the region(s) in which
-    that pattern was detected (for Fusion, every loop of the first fusion's
-    chain, as the Fusion plan fuses them)."""
-    if result.fusions:
-        first = result.fusions[0].loop_x
-        return "Fusion", next(c for c in fusion_chains(result.fusions) if first in c)
+#: A rung's finding: the pattern's label and the region(s) it was found in.
+Finding = tuple[str, list[int]]
+
+
+def _fusion_rung(result: AnalysisResult) -> Finding | None:
+    """Every loop of the first fusion's chain, the loops the Fusion plan
+    fuses."""
+    if not result.fusions:
+        return None
+    first = result.fusions[0].loop_x
+    return "Fusion", next(c for c in fusion_chains(result.fusions) if first in c)
+
+
+def _pipeline_rung(result: AnalysisResult) -> Finding | None:
     clean = result.clean_pipelines()
-    if clean:
-        return "Multi-loop pipeline", [clean[0].loop_x, clean[0].loop_y]
+    if not clean:
+        return None
+    return "Multi-loop pipeline", [clean[0].loop_x, clean[0].loop_y]
 
+
+def _task_rung(result: AnalysisResult) -> Finding | None:
     task = result.best_task_parallelism()
-    if task is not None:
-        workers_doall = _workers_are_doall_loops(result, task)
-        label = "Task parallelism + Do-all" if workers_doall else "Task parallelism"
-        return label, [task.region]
+    if task is None:
+        return None
+    if _workers_are_doall_loops(result, task):
+        return "Task parallelism + Do-all", [task.region]
+    return "Task parallelism", [task.region]
 
-    if result.geometric:
-        gd = result.geometric[0]
-        hot = result.hotspot_regions
-        regions = result.program.regions
-        # kmeans-style: a hotspot reduction loop anywhere inside the GD
-        # function earns the "+ Reduction" suffix (Section IV-C/IV-D).
-        has_hot_reduction = any(
-            lc.is_reduction
-            and region in hot
-            and region in regions
-            and regions[region].function == gd.function
-            for region, lc in result.loop_classes.items()
-        )
-        if has_hot_reduction:
-            return "Geometric decomposition + Reduction", [gd.region]
-        return "Geometric decomposition", [gd.region]
 
-    if result.reductions:
-        loop = max(result.reductions, key=lambda r: result.profile.region_cost(r))
-        return "Reduction", [loop]
-
+def _geometric_rung(result: AnalysisResult) -> Finding | None:
+    if not result.geometric:
+        return None
+    gd = result.geometric[0]
     hot = result.hotspot_regions
+    regions = result.program.regions
+    # kmeans-style: a hotspot reduction loop anywhere inside the GD
+    # function earns the "+ Reduction" suffix (Section IV-C/IV-D).
+    has_hot_reduction = any(
+        lc.is_reduction
+        and region in hot
+        and region in regions
+        and regions[region].function == gd.function
+        for region, lc in result.loop_classes.items()
+    )
+    if has_hot_reduction:
+        return "Geometric decomposition + Reduction", [gd.region]
+    return "Geometric decomposition", [gd.region]
+
+
+def _reduction_rung(result: AnalysisResult) -> Finding | None:
+    """The costliest loop with reduction candidates."""
+    if not result.reductions:
+        return None
+    return "Reduction", [max(result.reductions, key=result.profile.region_cost)]
+
+
+def _doall_rung(result: AnalysisResult) -> Finding | None:
+    """The costliest hotspot do-all loop, the loop the Do-all plan runs."""
+    hot = result.hotspot_regions
+    loops = [r for r, lc in result.loop_classes.items() if lc.is_doall and r in hot]
+    if not loops:
+        return None
+    return "Do-all", [max(loops, key=result.profile.region_cost)]
+
+
+#: Table III's precedence ladder, highest rung first.  Each rung returns
+#: its finding, or ``None`` when its pattern does not apply.
+RUNGS = (
+    _fusion_rung,
+    _pipeline_rung,
+    _task_rung,
+    _geometric_rung,
+    _reduction_rung,
+    _doall_rung,
+)
+
+
+def applicable_patterns(result: AnalysisResult) -> Iterator[Finding]:
+    """The finding of every rung that applies, highest rung first."""
+    for rung in RUNGS:
+        found = rung(result)
+        if found is not None:
+            yield found
+
+
+def primary_pattern(result: AnalysisResult) -> Finding:
+    """The Table III "Detected Pattern" label and the region(s) in which
+    that pattern was detected: the first rung that applies, else "None"
+    at the top hotspot."""
     top = [result.hotspots[0].region] if result.hotspots else []
-    if any(lc.is_doall for region, lc in result.loop_classes.items() if region in hot):
-        return "Do-all", top
-    return "None", top
+    return next(applicable_patterns(result), ("None", top))
 
 
 def summarize_patterns(result: AnalysisResult) -> str:

@@ -29,7 +29,7 @@ from repro.cu.model import CU
 from repro.graphs.algorithms import topological_sort
 from repro.graphs.digraph import DiGraph
 from repro.lang.ast_nodes import Program
-from repro.profiling.model import RAW, Profile
+from repro.profiling.model import Profile
 
 
 @dataclass

@@ -4,10 +4,11 @@ Section VI: "We aim to define metrics that help choose the best pattern
 among multiple detected parallel patterns.  Such metrics may also quantify
 the human effort needed for code transformation."
 
-:func:`rank_patterns` enumerates *every* applicable pattern for a program
-(not only the engine's primary label), simulates each one's schedule over
-the profile, estimates the transformation effort, and ranks by simulated
-benefit per unit of effort.
+:func:`rank_patterns` takes *every* rung of the precedence ladder that
+applies to a program (not only the engine's primary label), simulates each
+one's schedule over the profile at the rung's regions, estimates the
+transformation effort from the lines those regions span, and ranks by
+simulated benefit per unit of effort.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.patterns.framework import AnalysisResult
-from repro.patterns.engine import primary_pattern
+from repro.patterns.engine import applicable_patterns
 from repro.patterns.result import SUPPORTING_STRUCTURE
 
 #: Base effort (in "programmer units") of applying each supporting
@@ -28,8 +29,6 @@ BASE_EFFORT = {
     "Fusion": 2.0,
     "Geometric decomposition": 3.0,
     "Task parallelism": 3.0,
-    "Task parallelism + Do-all": 3.5,
-    "Geometric decomposition + Reduction": 3.5,
     "Multi-loop pipeline": 4.0,
 }
 
@@ -51,49 +50,9 @@ class PatternOption:
         return gain / self.effort if self.effort > 0 else 0.0
 
 
-def _applicable_labels(result: AnalysisResult) -> list[str]:
-    labels: list[str] = []
-    if result.fusions:
-        labels.append("Fusion")
-    if result.clean_pipelines():
-        labels.append("Multi-loop pipeline")
-    task = result.best_task_parallelism()
-    if task is not None:
-        labels.append("Task parallelism")
-    if result.geometric:
-        labels.append("Geometric decomposition")
-    hot = result.hotspot_regions
-    if result.reductions or any(
-        lc.is_reduction for r, lc in result.loop_classes.items() if r in hot
-    ):
-        labels.append("Reduction")
-    if any(lc.is_doall for r, lc in result.loop_classes.items() if r in hot):
-        labels.append("Do-all")
-    return labels
-
-
-def _lines_touched(result: AnalysisResult, label: str) -> int:
+def _lines_touched(result: AnalysisResult, regions: Sequence[int]) -> int:
     from repro.lang.analysis import stmt_lines
 
-    regions: list[int] = []
-    if label == "Fusion" and result.fusions:
-        regions = primary_pattern(result)[1]  # the Fusion rung: its chain
-    elif label == "Multi-loop pipeline" and result.clean_pipelines():
-        p = result.clean_pipelines()[0]
-        regions = [p.loop_x, p.loop_y]
-    elif label.startswith("Task parallelism"):
-        task = result.best_task_parallelism()
-        if task is not None:
-            regions = [task.region]
-    elif label.startswith("Geometric decomposition") and result.geometric:
-        regions = [result.geometric[0].region]
-    elif label == "Reduction" and result.reductions:
-        regions = list(result.reductions)
-    else:
-        regions = [
-            r for r, lc in result.loop_classes.items()
-            if lc.is_doall and r in result.hotspot_regions
-        ][:1]
     lines: set[int] = set()
     for region in regions:
         reg = result.program.regions.get(region)
@@ -179,22 +138,19 @@ def rank_patterns(
     intra = _intra_pipeline_option(result, thread_counts)
     if intra is not None:
         options.append(intra)
-    for label in _applicable_labels(result):
-        sweep = sweep_pattern(result, label, thread_counts)
-        touched = _lines_touched(result, label)
-        effort = BASE_EFFORT.get(label, 3.0) + touched / 50.0
+    for label, regions in applicable_patterns(result):
+        label = label.split(" + ")[0]
+        sweep = sweep_pattern(result, label, regions, thread_counts)
+        touched = _lines_touched(result, regions)
         options.append(
             PatternOption(
                 label=label,
                 best_speedup=sweep.best_speedup,
                 best_threads=sweep.best_threads,
-                effort=round(effort, 2),
-                supporting_structure=SUPPORTING_STRUCTURE.get(
-                    label.split(" + ")[0],
-                    # do-all and fusion are loop-level SPMD; Table I's
-                    # constant stays restricted to the paper's four rows
-                    "SPMD" if label in ("Do-all", "Fusion") else "?",
-                ),
+                effort=round(BASE_EFFORT[label] + touched / 50.0, 2),
+                # do-all and fusion are loop-level SPMD; Table I's constant
+                # stays restricted to the paper's four rows
+                supporting_structure=SUPPORTING_STRUCTURE.get(label, "SPMD"),
                 lines_touched=touched,
             )
         )

@@ -29,7 +29,7 @@ from repro.lang.ast_nodes import (
     VarLV,
     VarRef,
 )
-from repro.patterns.framework import Detector
+from repro.patterns.framework import AnalysisResult, Detector
 from repro.patterns.result import ReductionCandidate
 from repro.profiling.model import RAW, WAW, Profile
 
@@ -146,6 +146,14 @@ def _mentions(expr, var: str) -> bool:
     from repro.lang.ast_nodes import walk_exprs
 
     return any(isinstance(n, VarRef) and n.name == var for n in walk_exprs(expr))
+
+
+def reduction_found(result: AnalysisResult) -> bool:
+    """Table VI's verdict for the dynamic detector: Algorithm 3 found a
+    candidate in a hotspot loop or in any classified loop."""
+    return bool(result.reductions) or any(
+        lc.reductions for lc in result.loop_classes.values()
+    )
 
 
 class ReductionDetector(Detector):

@@ -25,7 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.errors import InterpreterError, ReproError
+from repro.errors import ReproError
 from repro.lang.ast_nodes import Assign, For, IntLit, Program, VarDecl, VarLV
 from repro.runtime import costs
 from repro.runtime.interpreter import Interpreter, RunResult, _BreakSignal, _ContinueSignal

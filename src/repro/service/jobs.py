@@ -244,7 +244,6 @@ class JobStore:
         self,
         max_history: int = 256,
         jsonl_path: str | None = None,
-        logger: JsonLogger | None = None,
         db_path: str | None = None,
         max_queue: int | None = None,
         backend: str = "thread",
@@ -253,9 +252,7 @@ class JobStore:
         self.jsonl_path = jsonl_path
         self.max_queue = max_queue
         self.backend = backend
-        if logger is None:
-            logger = JsonLogger(path=jsonl_path) if jsonl_path else JsonLogger()
-        self._log = logger
+        self._log = JsonLogger(path=jsonl_path) if jsonl_path else JsonLogger()
         self._cond = threading.Condition()
         self._jobs: dict[int, Job] = {}
         self._queue: deque[int] = deque()
@@ -551,8 +548,6 @@ class JobStore:
                 if not job.cancel_requested:
                     job.cancel_requested = True
                     self._persist(job, event="job.cancel_requested")
-                    if self._db is not None:
-                        self._db.upsert(job)
                 return job
             raise ValueError(f"job {job_id} is {job.state}, already terminal")
 

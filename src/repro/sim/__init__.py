@@ -19,8 +19,9 @@ measured (DESIGN.md §2):
 Each simulator reads its thread count from ``machine.threads``
 (:meth:`Machine.with_threads`).  Overall program speedups compose the
 simulated region times with the unparallelized remainder (Amdahl).  :func:`sweep_pattern` reproduces the
-paper's 1–32 thread sweeps: it plans a pattern once and replays the
-schedule at each thread count.
+paper's 1–32 thread sweeps: it plans a pattern once, at the regions its
+rung of the precedence ladder found, and replays the schedule at each
+thread count.
 """
 
 from repro.sim.machine import Machine

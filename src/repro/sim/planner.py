@@ -1,13 +1,14 @@
 """Planner: turn an AnalysisResult into simulated program speedups.
 
 This is the bridge Table III's harness uses.  Each pattern has a *plan*
-that reads the analysis and its profile once: the detection gate, the
-measured per-iteration loop costs, the activation costs, work and span.
-It returns the pattern's region *schedule*, a function of the machine at
-one thread count.  :func:`sweep_pattern` plans once and replays the
-schedule at every thread count, composing each result with the serial
-remainder (Amdahl); :func:`plan_and_simulate` does so for the primary
-pattern.
+that reads the analysis and its profile once, at the region(s) the
+pattern's rung of the precedence ladder found
+(:data:`repro.patterns.engine.RUNGS`): the measured per-iteration loop
+costs, the activation costs, work and span.  It returns the pattern's
+region *schedule*, a function of the machine at one thread count.
+:func:`sweep_pattern` plans once and replays the schedule at every thread
+count, composing each result with the serial remainder (Amdahl);
+:func:`plan_and_simulate` does so for the primary pattern.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from repro.cu.model import CU
 from repro.lang.analysis import array_names, enclosing_loops
 from repro.patterns.engine import primary_pattern, region_share
 from repro.patterns.framework import AnalysisResult
-from repro.patterns.fusion import fusion_chains
-from repro.patterns.result import MultiLoopPipeline, TaskParallelism
+from repro.patterns.result import TaskParallelism
 from repro.profiling.model import Profile
 from repro.sim.amdahl import compose_speedup
 from repro.sim.doall import simulate_doall, simulate_reduction
@@ -69,10 +69,6 @@ def pipeline_co_invocations(
     return pairs
 
 
-def _coverage(profile: Profile, regions: Sequence[int]) -> float:
-    return sum(profile.region_cost(r) for r in set(regions))
-
-
 def _max_depth(profile: Profile, region: int) -> int:
     """Deepest nesting of activations of *region* within themselves.
 
@@ -98,36 +94,21 @@ def _max_depth(profile: Profile, region: int) -> int:
 Schedule = Callable[[Machine], list[SimOutcome]]
 
 
-def _plan_fusion(result: AnalysisResult) -> Schedule:
+def _plan_fusion(result: AnalysisResult, chain: Sequence[int]) -> Schedule:
+    # The fused loop's iteration i runs iteration i of every loop in the
+    # chain; a longer loop's ragged tail runs on alone.
+    fused: list[list[float]] = []
+    for invs in zip(*(loop_invocation_costs(result.profile, r) for r in chain)):
+        n = max(len(costs) for costs in invs)
+        fused.append(
+            [sum(costs[i] for costs in invs if i < len(costs)) for i in range(n)]
+        )
     sf = result.profile.streaming_fraction
-    fused: list[list[list[float]]] = []
-    for chain in fusion_chains(result.fusions):
-        # The fused loop's iteration i runs iteration i of every loop in
-        # the chain; a longer loop's ragged tail runs on alone.
-        combined: list[list[float]] = []
-        for invs in zip(*(loop_invocation_costs(result.profile, r) for r in chain)):
-            n = max(len(costs) for costs in invs)
-            combined.append(
-                [sum(costs[i] for costs in invs if i < len(costs)) for i in range(n)]
-            )
-        fused.append(combined)
-    return lambda m: [simulate_doall(invs, m, streaming=sf) for invs in fused]
+    return lambda m: [simulate_doall(fused, m, streaming=sf)]
 
 
-def _best_pipeline(result: AnalysisResult) -> MultiLoopPipeline:
-    candidates = result.clean_pipelines() or result.pipelines
-    return max(
-        candidates,
-        key=lambda p: (
-            _coverage(result.profile, [p.loop_x, p.loop_y]),
-            p.efficiency,
-            -p.loop_x,
-        ),
-    )
-
-
-def _plan_pipeline(result: AnalysisResult) -> Schedule:
-    p = _best_pipeline(result)
+def _plan_pipeline(result: AnalysisResult, loops: Sequence[int]) -> Schedule:
+    p = next(p for p in result.pipelines if [p.loop_x, p.loop_y] == list(loops))
     invocations = pipeline_co_invocations(result.profile, p.loop_x, p.loop_y)
     stage_x_parallel = p.stage_x is not None and p.stage_x.parallelizable
     sf = result.profile.streaming_fraction
@@ -184,9 +165,8 @@ def _fullest_lane(times: list[float], lanes: int) -> float:
     return max(loads)
 
 
-def _plan_tasks(result: AnalysisResult) -> Schedule:
-    tp = result.best_task_parallelism()
-    assert tp is not None
+def _plan_tasks(result: AnalysisResult, regions: Sequence[int]) -> Schedule:
+    tp = result.tasks[regions[0]]
     profile = result.profile
     sf = profile.streaming_fraction
     reg = result.program.regions.get(tp.region)
@@ -258,42 +238,24 @@ def _plan_tasks(result: AnalysisResult) -> Schedule:
     return lambda m: [simulate_task_graph(tp.graph, weights, m)]
 
 
-def _plan_geometric(result: AnalysisResult) -> Schedule:
-    gd = result.geometric[0]
-    chunks = [float(n.inclusive_cost) for n in result.profile.activations(gd.region)]
+def _plan_geometric(result: AnalysisResult, regions: Sequence[int]) -> Schedule:
+    chunks = [float(n.inclusive_cost) for n in result.profile.activations(regions[0])]
     sf = result.profile.streaming_fraction
     return lambda m: [simulate_geometric(chunks, m, streaming=sf)]
 
 
-def _best_loop(result: AnalysisResult, want_reduction: bool) -> int | None:
-    best: tuple[float, int] | None = None
-    for region, lc in result.loop_classes.items():
-        if region not in result.hotspot_regions:
-            continue
-        if want_reduction and not lc.is_reduction:
-            continue
-        if not want_reduction and not lc.is_doall:
-            continue
-        cost = result.profile.region_cost(region)
-        if best is None or cost > best[0]:
-            best = (cost, region)
-    return None if best is None else best[1]
-
-
-def _plan_reduction(result: AnalysisResult) -> Schedule | None:
+def _plan_reduction(result: AnalysisResult, regions: Sequence[int]) -> Schedule:
     sf = result.profile.streaming_fraction
-    loop = _best_loop(result, want_reduction=True)
-    if loop is None:
+    hot = result.hotspot_regions
+    reducing = [r for r, lc in result.loop_classes.items() if lc.is_reduction and r in hot]
+    if reducing:
+        loop = max(reducing, key=result.profile.region_cost)
+    else:
         # The reduction lives in a loop that is not cleanly classified as a
         # reduction loop (nqueens: the column loop also re-writes the board,
-        # which the parallel implementation privatizes per task).  Fall back
-        # to the hottest hotspot loop with reduction *candidates*.
-        candidates = [
-            r for r in result.reductions if r in result.hotspot_regions
-        ]
-        if not candidates:
-            return None
-        loop = max(candidates, key=lambda r: result.profile.region_cost(r))
+        # which the parallel implementation privatizes per task): run the
+        # rung's loop, the costliest with reduction *candidates*.
+        loop = regions[0]
         n_tasks = len(result.profile.activations(loop))
         if n_tasks > 8:
             # Recursive search: model as a task tree with per-call tasks
@@ -316,7 +278,7 @@ def _plan_reduction(result: AnalysisResult) -> Schedule | None:
         lc_outer = result.loop_classes.get(outer)
         if lc_outer is None or not lc_outer.is_doall:
             break
-        if outer not in result.hotspot_regions:
+        if outer not in hot:
             break
         target = outer
     if target is not None:
@@ -340,11 +302,8 @@ def _plan_reduction(result: AnalysisResult) -> Schedule | None:
     ]
 
 
-def _plan_doall(result: AnalysisResult) -> Schedule | None:
-    loop = _best_loop(result, want_reduction=False)
-    if loop is None:
-        return None
-    invs = loop_invocation_costs(result.profile, loop)
+def _plan_doall(result: AnalysisResult, regions: Sequence[int]) -> Schedule:
+    invs = loop_invocation_costs(result.profile, regions[0])
     sf = result.profile.streaming_fraction
     return lambda m: [simulate_doall(invs, m, streaming=sf)]
 
@@ -387,16 +346,18 @@ class PlanOutcome:
 def sweep_pattern(
     result: AnalysisResult,
     label: str,
+    regions: Sequence[int],
     thread_counts: Sequence[int] = DEFAULT_THREAD_COUNTS,
     machine: Machine = DEFAULT_MACHINE,
 ) -> ThreadSweep:
-    """Overall program speedup of pattern *label* at each thread count.
+    """Overall program speedup of pattern *label*, found in *regions* by its
+    rung of the ladder, at each thread count.
 
     The pattern is planned once; each thread count replays its schedule.
-    A label without a plan, or a plan with no region to run, is 1.0.
+    A label without a plan is 1.0.
     """
     plan = _PLANS.get(label.split(" + ")[0])
-    schedule = plan(result) if plan else None
+    schedule = plan(result, regions) if plan else None
     total = float(result.profile.total_cost)
 
     def speedup_at(threads: int) -> float:
@@ -417,5 +378,5 @@ def plan_and_simulate(
     return PlanOutcome(
         label=label,
         share=region_share(result.profile, regions),
-        sweep=sweep_pattern(result, label, thread_counts, machine),
+        sweep=sweep_pattern(result, label, regions, thread_counts, machine),
     )

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.errors import SimulationError
 from repro.graphs.digraph import DiGraph

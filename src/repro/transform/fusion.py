@@ -19,8 +19,6 @@ from repro.lang.ast_nodes import (
     ArrayLV,
     ArrayRef,
     Assign,
-    Call,
-    Expr,
     For,
     Program,
     Stmt,

@@ -18,7 +18,7 @@ from repro.lang.parser import parse_program
 from repro.lang.printer import format_program
 from repro.lang.validate import validate_program
 from repro.patterns.result import TaskParallelism
-from repro.runtime.interpreter import Interpreter, RunResult
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.replay import results_equal
 
 

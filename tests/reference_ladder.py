@@ -74,6 +74,11 @@ def primary_pattern_regions(result: AnalysisResult) -> list[int]:
     if label == "Reduction" and result.reductions:
         loop = max(result.reductions, key=lambda r: result.profile.region_cost(r))
         return [loop]
+    if label == "Do-all":
+        # the costliest hotspot do-all loop, the one the Do-all plan runs
+        hot = result.hotspot_regions
+        loops = [r for r, lc in result.loop_classes.items() if lc.is_doall and r in hot]
+        return [max(loops, key=lambda r: result.profile.region_cost(r))]
     if result.hotspots:
         return [result.hotspots[0].region]
     return []

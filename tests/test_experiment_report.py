@@ -1,7 +1,10 @@
 """Generated experiment report tests."""
 
+import dataclasses
+
 import pytest
 
+from repro.reporting import experiments
 from repro.reporting.experiments import _md_table, generate_experiment_report
 
 
@@ -43,6 +46,19 @@ class TestReport:
         assert dynamic.count("yes") == 6
         icc = next(l for l in lines if l.startswith("| icc"))
         assert icc.rstrip("| ").endswith("X")
+
+    def test_table6_dynamic_row_follows_the_analysis(self, monkeypatch):
+        # an analysis of the two listings that finds no reduction reads "X"
+        analyze = experiments.analyze
+
+        def blind(*args, **options):
+            result = analyze(*args, **options)
+            return dataclasses.replace(result, reductions={}, loop_classes={})
+
+        monkeypatch.setattr(experiments, "analyze", blind)
+        report = generate_experiment_report()
+        dynamic = next(l for l in report.splitlines() if l.startswith("| dynamic"))
+        assert dynamic == "| dynamic (ours) | yes | yes | yes | yes | X | X |"
 
     def test_markdown_renders_consistently(self, report):
         # every table row has the same column count as its header

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.patterns.engine import analyze, region_share
+from repro.patterns.engine import analyze, applicable_patterns, region_share
 from repro.profiling import hotspot_regions, profile_run
 from repro.sim import plan_and_simulate, sweep_pattern
 from repro.sim.planner import loop_invocation_costs, pipeline_co_invocations
@@ -93,15 +93,18 @@ class TestSimulateAnalysis:
         result = analyze(
             pipeline_program, "kernel", [[np.ones(32), np.zeros(32), 32]]
         )
-        as_pipeline = sweep_pattern(result, "Multi-loop pipeline", (8,))
-        as_doall = sweep_pattern(result, "Do-all", (8,))
+        found = dict(applicable_patterns(result))
+        as_pipeline = sweep_pattern(
+            result, "Multi-loop pipeline", found["Multi-loop pipeline"], (8,)
+        )
+        as_doall = sweep_pattern(result, "Do-all", found["Do-all"], (8,))
         assert as_pipeline.speedups[8] != as_doall.speedups[8]
 
     def test_unknown_label_neutral(self, pipeline_program):
         result = analyze(
             pipeline_program, "kernel", [[np.ones(16), np.zeros(16), 16]]
         )
-        assert sweep_pattern(result, "Nonsense", (8,)).speedups == {8: 1.0}
+        assert sweep_pattern(result, "Nonsense", [], (8,)).speedups == {8: 1.0}
 
     def test_single_thread_is_identity(self, reduction_program):
         result = analyze(reduction_program, "total", [[np.ones(32), 32]])

@@ -13,7 +13,10 @@ results ``test_summary_precedence.py`` grafts onto each rung (through
 
 A Fusion label's regions are the loops the Fusion plan fuses: for every
 program ``sim_golden.json`` labels Fusion, the regions are exactly the
-loops whose costs the plan reads.
+loops whose costs the plan reads.  A Do-all label's region is the loop the
+Do-all plan parallelizes: for every program ``sim_golden.json`` labels
+Do-all, ``plan_and_simulate``'s share is the share of the one loop whose
+costs the plan reads.
 """
 
 import json
@@ -39,12 +42,15 @@ from repro.sim import plan_and_simulate, planner
 _CORPUS = generate_programs(count=200, seed=7, adversarial=True)
 
 _SIM = json.loads(Path(__file__).with_name("sim_golden.json").read_text())
-_FUSION_KEYS = [
-    (section, key)
-    for section, entries in sorted(_SIM.items())
-    for key, entry in entries.items()
-    if entry["label"] == "Fusion"
-]
+
+
+def _golden_keys(label):
+    return [
+        (section, key)
+        for section, entries in sorted(_SIM.items())
+        for key, entry in entries.items()
+        if entry["label"] == label
+    ]
 
 
 def assert_matches_reference(result):
@@ -79,21 +85,40 @@ def _analyze_corpus_program(idx):
     return analyze(program, tp.entry, [build_call_args(tp.arg_specs, seed=0)])
 
 
-@pytest.mark.parametrize("section,key", _FUSION_KEYS, ids=lambda v: v)
-def test_fusion_regions_are_the_loops_the_plan_fuses(section, key, monkeypatch):
+def _analyze_golden(section, key):
     if section == "registry":
-        result = analyze_benchmark(key)
-    else:
-        result = _analyze_corpus_program(int(key.split("-")[0]))
-    fused: list[int] = []
+        return analyze_benchmark(key)
+    return _analyze_corpus_program(int(key.split("-")[0]))
+
+
+def _record_loop_reads(monkeypatch):
+    """The loops whose costs the planner reads from now on, in read order."""
+    loops: list[int] = []
     read_costs = planner.loop_invocation_costs
 
     def recording(profile, loop):
-        fused.append(loop)
+        loops.append(loop)
         return read_costs(profile, loop)
 
     monkeypatch.setattr(planner, "loop_invocation_costs", recording)
+    return loops
+
+
+@pytest.mark.parametrize("section,key", _golden_keys("Fusion"), ids=lambda v: v)
+def test_fusion_regions_are_the_loops_the_plan_fuses(section, key, monkeypatch):
+    result = _analyze_golden(section, key)
+    fused = _record_loop_reads(monkeypatch)
     label, regions = primary_pattern(result)
-    planner.sweep_pattern(result, label, thread_counts=())
+    planner.sweep_pattern(result, label, regions, thread_counts=())
     assert label == "Fusion"
     assert sorted(regions) == sorted(fused)
+
+
+@pytest.mark.parametrize("section,key", _golden_keys("Do-all"), ids=lambda v: v)
+def test_doall_share_is_the_loop_the_plan_parallelizes(section, key, monkeypatch):
+    result = _analyze_golden(section, key)
+    parallelized = _record_loop_reads(monkeypatch)
+    outcome = plan_and_simulate(result, thread_counts=())
+    assert outcome.label == "Do-all"
+    assert len(parallelized) == 1
+    assert outcome.share == region_share(result.profile, parallelized)

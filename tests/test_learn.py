@@ -63,6 +63,28 @@ class TestFeatures:
         again = corpus_features(suite)
         assert canonical_json(again) == canonical_json(features_doc)
 
+    def test_parallel_extraction_error_runs_once_and_propagates(
+        self, suite, tmp_path, monkeypatch
+    ):
+        from repro.learn import features
+
+        # every extraction, in a pool worker or not, appends its program's name
+        extracted = tmp_path / "extracted"
+        failing = suite.entries[0].name
+        extract = features.features_for_entry
+
+        def logged(entry, cache=None):
+            with extracted.open("a") as fh:
+                fh.write(entry.name + "\n")
+            if entry.name == failing:
+                raise RecursionError("maximum recursion depth exceeded")
+            return extract(entry, cache=cache)
+
+        monkeypatch.setattr(features, "features_for_entry", logged)
+        with pytest.raises(RecursionError):
+            corpus_features(suite, parallel=True)
+        assert extracted.read_text().split().count(failing) == 1
+
     def test_renderers_cover_every_program(self, features_doc):
         table = features_table(features_doc)
         csv_text = features_csv(features_doc)

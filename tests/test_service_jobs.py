@@ -21,6 +21,7 @@ from repro.service.jobs import (
     build_call_args,
     job_digest,
 )
+from repro.service.store import SqliteJobLog
 
 SRC = """\
 float total(float A[], int n) {
@@ -107,6 +108,22 @@ class TestJobStore:
         # now terminal: a second cancel conflicts
         with pytest.raises(ValueError, match="already terminal"):
             store.cancel(job.id)
+
+    def test_cooperative_cancel_writes_the_job_row_once(self, tmp_path, monkeypatch):
+        store = JobStore(db_path=str(tmp_path / "jobs.sqlite"))
+        job = store.submit("bench", {"name": "y"})
+        store.claim(timeout=0.1)
+        upserts = []
+        upsert = SqliteJobLog.upsert
+
+        def counted(log, job):
+            upserts.append(job.id)
+            upsert(log, job)
+
+        monkeypatch.setattr(SqliteJobLog, "upsert", counted)
+        store.cancel(job.id)
+        assert upserts == [job.id]
+        store.dispose()
 
     def test_fail_records_error(self):
         store = JobStore()
